@@ -236,7 +236,13 @@ def sector_spectrum(
             f"sector dimension {basis.dim} exceeds dense cap {dense_cap}"
         )
     H = build_hopping(basis, coupling) + build_onsite_anharmonicity(basis, anharmonicity)
-    evals, evecs = np.linalg.eigh(H.dense())
+    dense = H.dense()
+    if dense.imag.any():
+        raise ValueError("sector Hamiltonian has complex entries")
+    # real symmetric eigh: several times faster than the complex one, and the
+    # complex matrix is released before it runs
+    dense = dense.real.copy()
+    evals, evecs = np.linalg.eigh(dense)
     n = basis.states.astype(np.float64)
     w = (n * (n - 1.0)).sum(axis=1)
     a_vals = w @ (np.abs(evecs) ** 2)

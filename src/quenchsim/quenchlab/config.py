@@ -9,6 +9,7 @@ number. Frequencies are quoted the way device papers quote them, as
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -111,9 +112,12 @@ def _want_float(entries, key, default=None):
         return default
     value, line = entries[key]
     try:
-        return float(value)
+        out = float(value)
     except ValueError:
         raise ConfigError(f"expected a number, got {value!r}", line=line, key=key) from None
+    if not math.isfinite(out):
+        raise ConfigError(f"expected a finite number, got {value!r}", line=line, key=key)
+    return out
 
 
 def _want_int(entries, key, default=None):
@@ -163,6 +167,8 @@ def _float_list(entries, key, n, default_scalar=None, keywords=()):
         vals = tuple(float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"expected numbers, got {value!r}", line=line, key=key) from None
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"expected finite numbers, got {value!r}", line=line, key=key)
     if len(vals) == 1:
         return vals * n
     if len(vals) != n:

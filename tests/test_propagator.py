@@ -123,6 +123,38 @@ class TestEvolveStatic:
         with pytest.raises(NumericsError):
             evolve_static(H, psi, 100.0, m_max=3, max_halvings=0)
 
+    @staticmethod
+    def _substep_case():
+        # full basis, dim 81: at m_max=10 a 20 ns step needs many sub-steps
+        basis = build_basis(4, 3)
+        H = build_hopping(basis, CouplingProfile.from_mhz([16.0] * 3)) + \
+            build_onsite_anharmonicity(
+                basis, AnharmonicityProfile.from_mhz([212.0, 264.0, 210.0, 268.0]))
+        return H, parse_product_state("+1+0", basis)
+
+    def test_substeps_match_dense_oracle(self):
+        H, psi = self._substep_case()
+        for t in (20.0, -20.0):
+            mine = evolve_static(H, psi, t, m_max=10)
+            ref = dense_propagate(H.dense(), psi.amplitudes, t)
+            assert np.linalg.norm(mine.amplitudes - ref) < 1e-9
+
+    def test_substeps_reuse_each_basis(self):
+        from quenchsim.propagator import _krylov_expm
+
+        H, psi = self._substep_case()
+        count = 0
+
+        def matvec(v):
+            nonlocal count
+            count += 1
+            return H.matvec(v)
+
+        _krylov_expm(matvec, psi.amplitudes, 20.0, 1e-10, 10)
+        # The recursive-halving core discarded every basis that could not
+        # certify its whole step and spent 630 matvecs on this call.
+        assert count < 630
+
     def test_unitarity_raw_engine(self):
         # chain raw Krylov steps without renormalizing between them
         from quenchsim.propagator import _krylov_expm

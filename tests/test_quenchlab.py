@@ -120,6 +120,25 @@ duration_ns = 5
         with pytest.raises(ConfigError, match="axis"):
             load_config(MINIMAL + "\n[sweep]\naxis_bogus = 1, 2\n")
 
+    # time key (forward_ns = inf once made the sample schedule endless),
+    # scalar keys, a scalar broadcast to a list key, and one list entry
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("section,key,template", [
+        ("protocol", "forward_ns", "{}"),
+        ("protocol", "drive_frequency_mhz", "{}"),
+        ("profiles", "coupling_mhz", "{}"),
+        ("profiles", "anharmonicity_mhz", "212, {}"),
+    ])
+    def test_non_finite_rejected(self, section, key, template, value):
+        text = MINIMAL.replace("mode = single-run\nduration_ns = 20",
+                               "mode = time-reversal")
+        text += f"\n[{section}]\n{key} = {template.format(value)}\n"
+        if key != "forward_ns":
+            text += "\n[protocol]\nforward_ns = 20\n"
+        with pytest.raises(ConfigError, match="finite") as err:
+            load_config(text)
+        assert err.value.key == key
+
     def test_overrides_revalidate(self):
         cfg = load_config(MINIMAL)
         with pytest.raises(ConfigError):
