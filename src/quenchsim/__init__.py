@@ -10,7 +10,9 @@ presets, sweeps and a CLI.
 
 from .fockspace import (
     FockBasis,
+    ResourceLimitError,
     StateVector,
+    basis_dim,
     build_basis,
     build_product_state,
     embed_state,
@@ -46,7 +48,6 @@ from .propagator import (
 from .analysis import (
     DominantFrequency,
     ObservableRecord,
-    ResourceLimitError,
     SpectrumReport,
     anharmonicity_expectation,
     dominant_frequency,

@@ -14,7 +14,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .fockspace import FockBasis, StateVector, build_basis, embed_state
+from .fockspace import (
+    FockBasis,
+    ResourceLimitError,
+    StateVector,
+    build_basis,
+    embed_state,
+)
 from .operators import (
     AnharmonicityProfile,
     CouplingProfile,
@@ -39,10 +45,6 @@ __all__ = [
 
 MAX_DENSE_DIM = 10_000
 MAX_ENTROPY_ELEMENTS = 1 << 22
-
-
-class ResourceLimitError(RuntimeError):
-    """A computation would exceed the configured dense-size limits."""
 
 
 @dataclass
@@ -159,8 +161,8 @@ def half_chain_entropy(psi: StateVector, cut: int) -> float:
     """Von Neumann entropy (nats) of the first ``cut`` sites.
 
     The amplitude vector is arranged as a (K^cut) x (K^(L-cut)) matrix whose
-    singular values give the Schmidt spectrum; sector bases are scattered
-    into that rectangle directly. Raises ResourceLimitError when the
+    singular values give the Schmidt spectrum; sector and range bases are
+    scattered into that rectangle directly. Raises ResourceLimitError when the
     rectangle would exceed the dense-size cap.
     """
     basis = psi.basis

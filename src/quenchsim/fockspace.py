@@ -4,7 +4,14 @@ Basis states are occupation vectors ``(n_0, ..., n_{L-1})`` with
 ``0 <= n_j <= K-1``, ordered lexicographically with site 0 as the most
 significant digit (so for L=2, K=2 the order is 00, 01, 10, 11). A basis may
 be restricted to the sector of fixed total occupation N, the natural arena
-for number-conserving Hamiltonians.
+for number-conserving Hamiltonians, or to a range of totals ``lo..hi``. A
+number-conserving Hamiltonian is block diagonal over N, so a state that
+superposes several particle numbers evolves exactly on the range basis of
+the totals it spans, with no amplitudes outside it.
+
+Every basis comes from one vectorized enumeration whose size is counted in
+closed form first, so a basis too large to hold raises ResourceLimitError
+before anything is allocated.
 """
 
 from __future__ import annotations
@@ -15,9 +22,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 __all__ = [
+    "MAX_BASIS_DIM",
+    "ResourceLimitError",
     "Occupation",
     "FockBasis",
     "StateVector",
+    "basis_dim",
     "build_basis",
     "parse_product_state",
     "build_product_state",
@@ -28,33 +38,55 @@ __all__ = [
 Occupation = tuple
 
 
-def _full_states(L: int, K: int) -> np.ndarray:
-    codes = np.arange(K**L, dtype=np.int64)
-    out = np.empty((K**L, L), dtype=np.int8)
+MAX_BASIS_DIM = 1 << 24
+"""Largest basis enumerated: one state vector is then 256 MB."""
+
+
+class ResourceLimitError(RuntimeError):
+    """A computation would exceed the configured size limits."""
+
+
+def basis_dim(L: int, K: int, lo: int, hi: int) -> int:
+    """Number of occupation vectors of L sites, K levels and total in [lo, hi].
+
+    Closed form, enumerating nothing: inclusion-exclusion over the sites
+    pushed past K-1 (truncated stars and bars), summed over the totals with
+    the hockey-stick identity.
+    """
+
+    def below(n: int) -> int:  # vectors with total < n
+        if n <= 0:
+            return 0
+        return sum(
+            (-1) ** k * math.comb(L, k) * math.comb(n - 1 - k * K + L, L)
+            for k in range(min(L, (n - 1) // K) + 1)
+        )
+
+    return below(hi + 1) - below(lo)
+
+
+def _states(L: int, K: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Occupation vectors with total in [lo, hi] and their codes, ascending.
+
+    Prefixes grow one site at a time: each prefix is repeated K times with
+    the levels of the next site tiled under it, which keeps lexicographic
+    order, and a prefix is dropped once its total can no longer land in
+    [lo, hi].
+    """
+    levels = np.arange(K, dtype=np.int64)
+    codes = np.zeros(1, dtype=np.int64)
+    totals = np.zeros(1, dtype=np.int64)
+    for j in range(L):
+        codes = np.repeat(codes * K, K) + np.tile(levels, codes.size)
+        totals = np.repeat(totals, K) + np.tile(levels, totals.size)
+        keep = (totals <= hi) & (totals + (L - 1 - j) * (K - 1) >= lo)
+        codes, totals = codes[keep], totals[keep]
+    states = np.empty((codes.size, L), dtype=np.int8)
+    rest = codes.copy()
     for j in range(L - 1, -1, -1):
-        out[:, j] = codes % K
-        codes //= K
-    return out
-
-
-def _sector_states(L: int, K: int, N: int) -> np.ndarray:
-    """All occupation vectors with total N, in lexicographic order."""
-    rows: list[list[int]] = []
-    occ = [0] * L
-
-    def descend(j: int, remaining: int) -> None:
-        if j == L - 1:
-            if remaining <= K - 1:
-                occ[j] = remaining
-                rows.append(list(occ))
-            return
-        headroom = (L - j - 1) * (K - 1)
-        for n in range(max(0, remaining - headroom), min(K - 1, remaining) + 1):
-            occ[j] = n
-            descend(j + 1, remaining - n)
-
-    descend(0, N)
-    return np.array(rows, dtype=np.int8)
+        states[:, j] = rest % K
+        rest //= K
+    return states, codes
 
 
 class FockBasis:
@@ -66,45 +98,63 @@ class FockBasis:
         Number of sites, at least 1.
     K : int
         Levels per site, at least 2. Occupations run from 0 to K-1.
-    sector : int or None
-        If given, restrict to states with total occupation ``sector``.
+    sector : None, int or range
+        None for the full space. An int N restricts to states with total
+        occupation N. A ``range`` of totals (step 1) restricts to states
+        whose total lies in it: the basis of a number-conserving evolution
+        of a state that superposes several particle numbers. A range that
+        covers every total ``0..L*(K-1)`` is stored as None, a one-element
+        range as its int, so equal spaces compare equal.
 
     Notes
     -----
     The unrestricted space has dimension ``K**L``. A sector basis with
-    ``K >= N+1`` has the stars-and-bars dimension ``C(N+L-1, N)``.
-    Instances are immutable and safe to share between threads.
+    ``K >= N+1`` has the stars-and-bars dimension ``C(N+L-1, N)``; a range
+    basis is the union of its sectors, still in lexicographic order.
+    A basis whose codes overflow int64, or whose dimension (counted before
+    anything is enumerated) exceeds ``MAX_BASIS_DIM``, raises
+    ResourceLimitError. Instances are immutable and safe to share
+    between threads.
     """
 
-    def __init__(self, L: int, K: int, sector: int | None = None):
+    def __init__(self, L: int, K: int, sector: int | range | None = None):
         L, K = int(L), int(K)
         if L < 1:
             raise ValueError(f"need at least one site, got L={L}")
         if K < 2:
             raise ValueError(f"need at least two levels per site, got K={K}")
-        if sector is not None:
-            sector = int(sector)
-            if not 0 <= sector <= L * (K - 1):
-                raise ValueError(
-                    f"sector N={sector} outside [0, {L * (K - 1)}] for L={L}, K={K}"
-                )
+        n_max = L * (K - 1)
+        if sector is None:
+            lo, hi = 0, n_max
+        elif isinstance(sector, range):
+            if sector.step != 1 or not sector:
+                raise ValueError(f"sector range must be non-empty with step 1, got {sector!r}")
+            lo, hi = sector[0], min(sector[-1], n_max)
+        else:
+            lo = hi = int(sector)
+        if not 0 <= lo <= hi <= n_max:
+            raise ValueError(f"sector {sector!r} outside [0, {n_max}] for L={L}, K={K}")
+        if L >= 64 or K**L > np.iinfo(np.int64).max:
+            raise ResourceLimitError(f"codes of {L} sites with {K} levels overflow int64")
+        dim = basis_dim(L, K, lo, hi)
+        if dim > MAX_BASIS_DIM:
+            raise ResourceLimitError(
+                f"basis of L={L}, K={K}, N={lo}..{hi} has {dim} states, "
+                f"above the cap of {MAX_BASIS_DIM}"
+            )
         self.L = L
         self.K = K
-        self.sector = sector
+        if (lo, hi) == (0, n_max):
+            self.sector = None
+        elif lo == hi:
+            self.sector = lo
+        else:
+            self.sector = range(lo, hi + 1)
         # Radix weights: site 0 is the most significant digit.
         self.site_radix = (K ** np.arange(L - 1, -1, -1)).astype(np.int64)
-        if sector is None:
-            self._states = _full_states(L, K)
-        else:
-            self._states = _sector_states(L, K, sector)
+        self._states, self._codes = _states(L, K, lo, hi)
         self._states.setflags(write=False)
-        self._codes = self._states.astype(np.int64) @ self.site_radix
         self._codes.setflags(write=False)
-        # Hash map for O(1) lookups on sector bases; the full space maps
-        # codes to indices directly.
-        self._index: dict[int, int] | None = None
-        if sector is not None:
-            self._index = {int(c): i for i, c in enumerate(self._codes)}
 
     @property
     def dim(self) -> int:
@@ -134,9 +184,15 @@ class FockBasis:
     def __hash__(self) -> int:
         return hash((self.L, self.K, self.sector))
 
+    def _label(self) -> str:
+        if self.sector is None:
+            return "full"
+        if isinstance(self.sector, range):
+            return f"N={self.sector[0]}..{self.sector[-1]}"
+        return f"N={self.sector}"
+
     def __repr__(self) -> str:
-        sec = "full" if self.sector is None else f"N={self.sector}"
-        return f"FockBasis(L={self.L}, K={self.K}, {sec}, dim={self.dim})"
+        return f"FockBasis(L={self.L}, K={self.K}, {self._label()}, dim={self.dim})"
 
     def _code_of(self, occ: Sequence[int]) -> int:
         if len(occ) != self.L:
@@ -152,18 +208,15 @@ class FockBasis:
     def index_of(self, occ: Sequence[int]) -> int:
         """Position of an occupation vector in the basis.
 
-        Raises KeyError for levels outside [0, K-1] or, on a sector basis,
-        for occupations with the wrong total.
+        Raises KeyError for levels outside [0, K-1] or, on a restricted
+        basis, for occupations whose total lies outside it.
         """
-        code = self._code_of(occ)
-        if self._index is None:
-            return code
-        try:
-            return self._index[code]
-        except KeyError:
+        i = int(self.find_codes(self._code_of(occ)))
+        if i < 0:
             raise KeyError(
-                f"occupation {tuple(int(n) for n in occ)} not in sector N={self.sector}"
-            ) from None
+                f"occupation {tuple(int(n) for n in occ)} not in sector {self._label()}"
+            )
+        return i
 
     def occupation_at(self, i: int) -> Occupation:
         """The i-th occupation vector in canonical order."""
@@ -172,33 +225,23 @@ class FockBasis:
             raise IndexError(f"index {i} outside [0, {self.dim})")
         return tuple(int(n) for n in self._states[i])
 
-    def indices_from_codes(self, codes: np.ndarray) -> np.ndarray:
-        """Vectorized code -> index map; every code must be present."""
-        codes = np.asarray(codes, dtype=np.int64)
-        if self._index is None:
-            if codes.size and (codes.min() < 0 or codes.max() >= self.dim):
-                raise KeyError("state code outside the full basis")
-            return codes
-        pos = np.searchsorted(self._codes, codes)
-        ok = (pos < self.dim) & (self._codes[np.minimum(pos, self.dim - 1)] == codes)
-        if not np.all(ok):
-            raise KeyError(f"state codes missing from sector N={self.sector}")
-        return pos
-
     def find_codes(self, codes: np.ndarray) -> np.ndarray:
-        """Like indices_from_codes but returns -1 where a code is absent."""
+        """Vectorized code -> index map, -1 where a code is absent."""
         codes = np.asarray(codes, dtype=np.int64)
-        if self._index is None:
-            out = codes.copy()
-            out[(codes < 0) | (codes >= self.dim)] = -1
-            return out
-        pos = np.searchsorted(self._codes, codes)
-        pos_c = np.minimum(pos, self.dim - 1)
-        ok = (pos < self.dim) & (self._codes[pos_c] == codes)
-        return np.where(ok, pos_c, -1)
+        if self.sector is None:
+            return np.where((codes >= 0) & (codes < self.dim), codes, -1)
+        pos = np.minimum(np.searchsorted(self._codes, codes), self.dim - 1)
+        return np.where(self._codes[pos] == codes, pos, -1)
+
+    def indices_from_codes(self, codes: np.ndarray) -> np.ndarray:
+        """Like find_codes, but every code must be present."""
+        idx = self.find_codes(codes)
+        if np.any(idx < 0):
+            raise KeyError(f"state codes missing from sector {self._label()}")
+        return idx
 
 
-def build_basis(L: int, K: int, sector: int | None = None) -> FockBasis:
+def build_basis(L: int, K: int, sector: int | range | None = None) -> FockBasis:
     """Construct a Fock basis; see FockBasis for the ordering contract."""
     return FockBasis(L, K, sector)
 
@@ -267,7 +310,7 @@ def build_product_state(
     idx = basis.find_codes(codes)
     if np.any(idx < 0):
         raise ValueError(
-            f"product state has support outside the basis (sector N={basis.sector})"
+            f"product state has support outside the basis (sector {basis._label()})"
         )
     for i, (_, amp) in zip(idx, terms):
         amps[i] += amp
@@ -319,7 +362,7 @@ def embed_state(state: StateVector, target: FockBasis) -> StateVector:
     missing = (idx < 0) & (state.amplitudes != 0)
     if np.any(missing):
         raise ValueError(
-            f"state has weight outside target sector N={target.sector}"
+            f"state has weight outside target sector {target._label()}"
         )
     amps = np.zeros(target.dim, dtype=np.complex128)
     keep = idx >= 0

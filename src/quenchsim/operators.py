@@ -369,29 +369,14 @@ def build_transverse(basis: FockBasis, profile: TransverseProfile) -> SparseOper
 
 
 def bessel_j0(x: float) -> float:
-    """Bessel function of the first kind, order zero.
+    """Bessel function of the first kind, order zero: ``scipy.special.j0``.
 
-    For |x| <= 9 the defining power series is summed directly. Beyond that
-    the integral form ``J0(x) = (1/pi) int_0^pi cos(x sin t) dt`` is
-    evaluated with the M-point periodic trapezoidal rule, whose aliasing
-    error is ``2 (J_M + J_2M + ...)`` and therefore drops below 1e-13 once
-    M comfortably exceeds |x|. Both branches are accurate to better than
-    1e-10 in absolute terms.
+    Imported on first call, because importing scipy.special adds about
+    0.1 s to the start-up of every run.
     """
-    x = abs(float(x))
-    if x <= 9.0:
-        q = 0.25 * x * x
-        term = 1.0
-        total = 1.0
-        for k in range(1, 64):
-            term *= -q / (k * k)
-            total += term
-            if abs(term) < 1e-18 * max(1.0, abs(total)):
-                break
-        return total
-    m = int(1.8 * x) + 24
-    theta = (_TWO_PI / m) * np.arange(m)
-    return float(np.mean(np.cos(x * np.sin(theta))))
+    from scipy.special import j0
+
+    return float(j0(x))
 
 
 def effective_coupling(J: float, eps: float, nu: float) -> float:

@@ -25,7 +25,7 @@ import scipy.linalg as sla
 # at two BLAS threads on two cores a 30-vector basis took 2.7 times longer.
 from scipy.linalg.blas import dznrm2, zaxpy, zdotc, zgemv
 
-from .fockspace import FockBasis, StateVector
+from .fockspace import FockBasis, ResourceLimitError, StateVector
 from .operators import (
     AnharmonicityProfile,
     CouplingProfile,
@@ -55,6 +55,7 @@ _TWO_PI = 2.0 * math.pi
 DEFAULT_TOL = 1e-10
 DEFAULT_KRYLOV_DIM = 30
 SUBSTEPS_PER_PERIOD = 64
+MAX_SAMPLES = 1_000_000
 
 
 class NumericsError(RuntimeError):
@@ -347,6 +348,8 @@ class Protocol:
     at integer multiples of the drive period. Segment boundaries are always
     sampled. With ``continuous_drive_phase`` the drive phase reference is
     global time zero; by default each segment restarts its drive phase.
+    A schedule of more than ``MAX_SAMPLES`` samples raises
+    ResourceLimitError before any sample time is made.
     """
 
     segments: tuple
@@ -397,6 +400,12 @@ class Protocol:
         else:
             step = self.sample_dt_ns
         if step is not None and total > 0:
+            count = (total + 1e-9) // step + 1
+            if count > MAX_SAMPLES:
+                raise ResourceLimitError(
+                    f"sampling every {step:g} ns over {total:g} ns takes {count:.0f} "
+                    f"samples, above the cap of {MAX_SAMPLES}"
+                )
             k = 0
             t = 0.0
             while t <= total + 1e-9:

@@ -49,10 +49,10 @@ SCHEMA = {
         "drive_substep_ns",
         "sector",
     },
-    "sampling": {"dt_ns", "stroboscopic", "record_states"},
+    "sampling": {"dt_ns", "stroboscopic"},
     "observables": {"observables"},
     "spectrum": {"particles"},
-    "output": {"path", "format", "seed"},
+    "output": {"path", "format"},
     "sweep": {"parallelism"},  # plus axis_<key>, validated dynamically
     "meta": {"comment"},
 }
@@ -205,12 +205,10 @@ class ExperimentConfig:
     sector: str | int
     dt_ns: float
     stroboscopic: bool
-    record_states: bool
     observables: tuple
     spectrum_particles: int | None
     output_path: str | None
     output_format: str
-    seed: int
     sweep_axes: dict = field(default_factory=dict)
     parallelism: int = 1
     comment: str = ""
@@ -347,7 +345,6 @@ def _validate(entries: dict, source_text: str = "") -> ExperimentConfig:
     if not dt_ns > 0:
         raise ConfigError("dt_ns must be positive", key="dt_ns")
     strobo = _want_bool(entries, "stroboscopic")
-    record_states = _want_bool(entries, "record_states")
     if strobo and not driven:
         raise ConfigError("stroboscopic sampling requires a drive", key="stroboscopic")
 
@@ -420,12 +417,10 @@ def _validate(entries: dict, source_text: str = "") -> ExperimentConfig:
         sector=sector,
         dt_ns=dt_ns,
         stroboscopic=strobo,
-        record_states=record_states,
         observables=obs,
         spectrum_particles=particles,
         output_path=entries.get("path", (None, None))[0],
         output_format=_want_choice(entries, "format", FORMATS, "csv"),
-        seed=_want_int(entries, "seed", 0),
         sweep_axes=axes,
         parallelism=parallelism,
         comment=comment,

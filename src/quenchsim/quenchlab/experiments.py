@@ -68,35 +68,42 @@ def _drive_specs(config: ExperimentConfig):
     return fwd, bwd
 
 
-def _number_eigenstate(config: ExperimentConfig) -> int | None:
-    """Total occupation if the initial state has a sharp particle number."""
+def _number_range(config: ExperimentConfig) -> tuple[int, int]:
+    """Smallest and largest total occupation the initial product state spans.
+
+    A digit fixes its site's level; ``+`` and a two-level amplitude pair
+    add 0 or 1, or only the level whose amplitude is nonzero.
+    """
     if config.initial_tokens is not None:
-        if all(c.isdigit() for c in config.initial_tokens):
-            return sum(int(c) for c in config.initial_tokens)
-        return None
-    total = 0
-    for amp0, amp1 in config.initial_amplitudes:
-        live = [lvl for lvl, a in enumerate((amp0, amp1)) if a != 0]
-        if len(live) != 1:
-            return None
-        total += live[0]
-    return total
+        lo = sum(int(c) for c in config.initial_tokens if c.isdigit())
+        return lo, lo + config.initial_tokens.count("+")
+    lo = hi = 0
+    for pair in config.initial_amplitudes:
+        live = [lvl for lvl, a in enumerate(pair) if a != 0]
+        lo += min(live, default=0)
+        hi += max(live, default=0)
+    return lo, hi
 
 
-def _pick_sector(config: ExperimentConfig) -> int | None:
+def _pick_sector(config: ExperimentConfig) -> int | range | None:
+    """The basis sector of a trajectory run: None (full), N or a range of N.
+
+    On ``auto`` a number-conserving run evolves on the totals its initial
+    state spans; a transverse field needs the full basis.
+    """
     omega_on = any(v != 0 for v in config.transverse_mhz)
     if config.sector == "full":
         return None
+    lo, hi = _number_range(config)
     if config.sector == "auto":
         if omega_on:
             return None
-        return _number_eigenstate(config)
+        return lo if lo == hi else range(lo, hi + 1)
     if omega_on:
         raise ConfigError("a transverse field needs the full basis", key="sector")
-    n = _number_eigenstate(config)
-    if n is not None and n != config.sector:
+    if lo == hi != config.sector:
         raise ConfigError(
-            f"initial state has N={n}, sector asks for {config.sector}", key="sector"
+            f"initial state has N={lo}, sector asks for {config.sector}", key="sector"
         )
     return int(config.sector)
 
@@ -179,7 +186,6 @@ def run_experiment(config: ExperimentConfig):
             (seg_f, seg_b),
             sample_dt_ns=None if config.stroboscopic else config.dt_ns,
             stroboscopic=config.stroboscopic,
-            record_states=config.record_states,
             drive_substep_ns=config.drive_substep_ns,
         )
         observe = _observer(config, psi0=psi0)
@@ -192,7 +198,6 @@ def run_experiment(config: ExperimentConfig):
             (seg,),
             sample_dt_ns=None if config.stroboscopic else config.dt_ns,
             stroboscopic=config.stroboscopic,
-            record_states=config.record_states,
             drive_substep_ns=config.drive_substep_ns,
         )
         observe = _observer(config, psi0=psi0)
@@ -211,9 +216,8 @@ def run_experiment(config: ExperimentConfig):
         H2 = H2 + build_transverse(basis2, trans)
         HK = HK + build_transverse(basis, trans)
     observe = _observer(config)
-    times = np.arange(0.0, config.duration_ns + 1e-9, config.dt_ns)
-    if times[-1] < config.duration_ns - 1e-9:
-        times = np.append(times, config.duration_ns)
+    seg = _segment(config, config.duration_ns, coupling, anh, trans, None)
+    times = Protocol((seg,), sample_dt_ns=config.dt_ns).sample_times()
     records = []
     for i, t in enumerate(times):
         if i:

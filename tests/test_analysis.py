@@ -313,3 +313,25 @@ class TestDominantFrequency:
         res = dominant_frequency(y, 0.5, segment_ns=24.0)
         assert res.resolution_mhz == pytest.approx(1e3 / 24.0, rel=1e-12)
         assert abs(res.frequency_mhz - 240.0) <= res.resolution_mhz
+
+
+class TestRangeBasisObservables:
+    def test_entropy_matches_full_basis(self):
+        ranged = build_basis(4, 3, sector=range(2, 6))
+        full = build_basis(4, 3)
+        psi = random_state(ranged, 43)
+        for cut in (1, 2, 3):
+            S_range = half_chain_entropy(psi, cut)
+            S_full = half_chain_entropy(embed_state(psi, full), cut)
+            assert S_range == pytest.approx(S_full, abs=1e-12)
+
+    def test_populations_and_pauli_match_full_basis(self):
+        ranged = build_basis(4, 3, sector=range(0, 5))
+        full = build_basis(4, 3)
+        psi = random_state(ranged, 44)
+        big = embed_state(psi, full)
+        np.testing.assert_allclose(site_populations(psi), site_populations(big), atol=1e-15)
+        for j in range(4):
+            assert pauli_expectation(psi, j, "x") == pytest.approx(
+                pauli_expectation(big, j, "x"), abs=1e-14
+            )

@@ -5,8 +5,12 @@ import numpy as np
 import pytest
 
 from quenchsim import (
+    ResourceLimitError,
     StateVector,
+    TransverseProfile,
+    basis_dim,
     build_basis,
+    build_transverse,
     build_product_state,
     embed_state,
     parse_product_state,
@@ -226,3 +230,81 @@ class TestStateVector:
         b = parse_product_state("01", build_basis(2, 3))
         with pytest.raises(ValueError):
             a.overlap(b)
+
+
+class TestRangeBasis:
+    @pytest.mark.parametrize(
+        "L,K,lo,hi", [(4, 3, 0, 4), (5, 2, 1, 3), (3, 4, 2, 7), (10, 3, 0, 10)]
+    )
+    def test_dim_is_sum_of_sectors_and_codes_ascend(self, L, K, lo, hi):
+        basis = build_basis(L, K, sector=range(lo, hi + 1))
+        assert basis.dim == sum(build_basis(L, K, sector=n).dim for n in range(lo, hi + 1))
+        assert basis.dim == basis_dim(L, K, lo, hi)
+        assert np.all(np.diff(basis.codes) > 0)
+        totals = basis.states.sum(axis=1)
+        assert totals.min() == lo and totals.max() == hi
+
+    def test_matches_brute_force_enumeration(self):
+        basis = build_basis(4, 3, sector=range(2, 5))
+        expected = [
+            occ for occ in itertools.product(range(3), repeat=4) if 2 <= sum(occ) <= 4
+        ]
+        assert [basis.occupation_at(i) for i in range(basis.dim)] == expected
+
+    def test_round_trip_and_lookup_outside(self):
+        basis = build_basis(4, 3, sector=range(1, 4))
+        for i in range(basis.dim):
+            assert basis.index_of(basis.occupation_at(i)) == i
+        with pytest.raises(KeyError):
+            basis.index_of((0, 0, 0, 0))
+        with pytest.raises(KeyError):
+            basis.index_of((2, 2, 0, 0))
+        full = build_basis(4, 3)
+        found = basis.find_codes(full.codes)
+        inside = (full.states.sum(axis=1) >= 1) & (full.states.sum(axis=1) <= 3)
+        assert np.all(found[~inside] == -1)
+        assert np.array_equal(basis.codes[found[inside]], full.codes[inside])
+
+    @pytest.mark.parametrize("L", [1, 3, 5])
+    def test_full_range_is_the_full_basis(self, L):
+        assert build_basis(L, 2, sector=range(0, L + 1)) == build_basis(L, 2)
+        assert build_basis(L, 2, sector=range(0, L + 1)).sector is None
+
+    def test_one_element_range_is_the_sector(self):
+        basis = build_basis(4, 3, sector=range(3, 4))
+        assert basis.sector == 3 and basis == build_basis(4, 3, sector=3)
+
+    @pytest.mark.parametrize(
+        "sector", [range(0), range(0, 4, 2), range(-1, 2), range(9, 12)]
+    )
+    def test_invalid_ranges(self, sector):
+        with pytest.raises(ValueError):
+            build_basis(4, 3, sector=sector)
+
+    def test_transverse_refused(self):
+        basis = build_basis(3, 3, sector=range(0, 3))
+        with pytest.raises(ValueError):
+            build_transverse(basis, TransverseProfile.from_mhz([16.0] * 3))
+
+    def test_embed_two_level_into_range_matches_full(self):
+        src = build_basis(4, 2)
+        psi = parse_product_state("+0+1", src)
+        ranged = embed_state(psi, build_basis(4, 3, sector=range(1, 4)))
+        full = embed_state(psi, build_basis(4, 3))
+        assert ranged.basis.sector == range(1, 4)
+        idx = full.basis.find_codes(ranged.basis.codes)
+        assert np.array_equal(full.amplitudes[idx], ranged.amplitudes)
+        assert ranged.norm() == pytest.approx(1.0, abs=1e-15)
+
+
+class TestBasisGuard:
+    @pytest.mark.parametrize("L,K", [(1, 2), (4, 3), (6, 5), (10, 3)])
+    def test_basis_dim_counts_every_range(self, L, K):
+        assert basis_dim(L, K, 0, L * (K - 1)) == K**L
+        per_n = [basis_dim(L, K, n, n) for n in range(L * (K - 1) + 1)]
+        assert per_n == [build_basis(L, K, sector=n).dim for n in range(L * (K - 1) + 1)]
+
+    @pytest.mark.parametrize("L,K,N", [(40, 3, None), (16, 3, None), (100, 2, 1)])
+    def test_too_large_fails_before_enumeration(self, L, K, N):
+        with pytest.raises(ResourceLimitError):
+            build_basis(L, K, sector=N)

@@ -1,11 +1,12 @@
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
 
-from quenchsim import fidelity, parse_product_state, build_basis
+from quenchsim import ResourceLimitError, fidelity, parse_product_state, build_basis
 from quenchsim.analysis import SpectrumReport
 from quenchsim.quenchlab import (
     ConfigError,
@@ -22,6 +23,7 @@ from quenchsim.quenchlab import (
     write_records,
 )
 from quenchsim.quenchlab.cli import main
+from quenchsim.quenchlab.experiments import _pick_sector
 
 MINIMAL = """
 [lattice]
@@ -489,3 +491,82 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0] == "index,energy_mhz,A,band,ambiguous"
         assert len(lines) == 1 + 10  # C(5,2) = 10 states
+
+
+class TestRangeSector:
+    REVERSAL = """
+[lattice]
+sites = 4
+levels = 3
+[state]
+initial = ++++
+[protocol]
+mode = time-reversal
+forward_ns = 20
+[sampling]
+dt_ns = 2.5
+"""
+
+    def test_pick_sector_range_for_superpositions(self):
+        assert _pick_sector(load_config(self.REVERSAL)) == range(0, 5)
+        cfg = load_config(self.REVERSAL.replace("++++", "1+0+"))
+        assert _pick_sector(cfg) == range(1, 4)
+        pairs = "\n".join(f"amplitudes_q{j} = {a}" for j, a in
+                          enumerate(["1, 0", "0, 1", "0.6, 0.8", "1, 0"], start=1))
+        cfg = load_config(self.REVERSAL.replace("initial = ++++", pairs))
+        assert _pick_sector(cfg) == range(1, 3)
+
+    def test_pick_sector_int_for_digits(self):
+        sector = _pick_sector(load_config(self.REVERSAL.replace("++++", "0120")))
+        assert sector == 3 and isinstance(sector, int)
+        cfg = load_config(self.REVERSAL).with_overrides({"sector": "full"})
+        assert _pick_sector(cfg) is None
+
+    def test_auto_range_run_matches_full_basis(self):
+        cfg = load_config(self.REVERSAL)
+        rec_auto = run_experiment(cfg)
+        rec_full = run_experiment(cfg.with_overrides({"sector": "full"}))
+        assert len(rec_auto) == len(rec_full)
+        for a, b in zip(rec_auto, rec_full):
+            assert a.time_ns == b.time_ns
+            assert a.fidelity == pytest.approx(b.fidelity, abs=1e-10)
+            np.testing.assert_allclose(a.populations, b.populations, atol=1e-10)
+
+
+class TestInputGuards:
+    HUGE = """
+[lattice]
+sites = 40
+levels = 3
+[state]
+initial = 0101010101010101010101010101010101010101
+[protocol]
+mode = single-run
+duration_ns = 10
+sector = full
+"""
+
+    def test_huge_basis_fails_fast(self):
+        started = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            run_experiment(load_config(self.HUGE))
+        assert time.perf_counter() - started < 1.0
+
+    def test_huge_basis_cli_exit_3(self, tmp_path, capsys):
+        cfg_path = tmp_path / "huge.cfg"
+        cfg_path.write_text(self.HUGE)
+        started = time.perf_counter()
+        assert main(["run", "-c", str(cfg_path), "-o", str(tmp_path / "o.csv")]) == 3
+        assert time.perf_counter() - started < 1.0
+        assert "overflow" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode,key", [("time-reversal", "forward_ns"),
+                                          ("one-direction-compare", "duration_ns")])
+    def test_unbounded_schedule_fails_fast(self, mode, key):
+        text = MINIMAL.replace("mode = single-run", f"mode = {mode}").replace(
+            "duration_ns = 20", f"{key} = 25"
+        ) + "\n[sampling]\ndt_ns = 1e-9\n"
+        started = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            run_experiment(load_config(text))
+        assert time.perf_counter() - started < 1.0
