@@ -23,6 +23,7 @@ import numpy as np
 
 __all__ = [
     "MAX_BASIS_DIM",
+    "MAX_LEVELS",
     "ResourceLimitError",
     "Occupation",
     "FockBasis",
@@ -40,6 +41,9 @@ Occupation = tuple
 
 MAX_BASIS_DIM = 1 << 24
 """Largest basis enumerated: one state vector is then 256 MB."""
+
+MAX_LEVELS = 128
+"""Most levels per site: occupations are stored as int8."""
 
 
 class ResourceLimitError(RuntimeError):
@@ -97,7 +101,7 @@ class FockBasis:
     L : int
         Number of sites, at least 1.
     K : int
-        Levels per site, at least 2. Occupations run from 0 to K-1.
+        Levels per site, 2 to ``MAX_LEVELS``. Occupations run from 0 to K-1.
     sector : None, int or range
         None for the full space. An int N restricts to states with total
         occupation N. A ``range`` of totals (step 1) restricts to states
@@ -121,8 +125,8 @@ class FockBasis:
         L, K = int(L), int(K)
         if L < 1:
             raise ValueError(f"need at least one site, got L={L}")
-        if K < 2:
-            raise ValueError(f"need at least two levels per site, got K={K}")
+        if not 2 <= K <= MAX_LEVELS:
+            raise ValueError(f"need 2 to {MAX_LEVELS} levels per site, got K={K}")
         n_max = L * (K - 1)
         if sector is None:
             lo, hi = 0, n_max

@@ -5,11 +5,11 @@ The workhorse is a Lanczos (Hermitian Krylov) approximation of
 residual estimate gated by the Hochbruck-Lubich subspace-size bound, and
 Expokit-style step control: a basis that cannot certify the whole step
 advances by the largest sub-step its tridiagonal matrix does certify.
-Sinusoidally driven Hamiltonians are integrated with commutator-free
-exponential substeps (fourth-order Gauss scheme by default, midpoint-frozen
-second order available), each exponential going through the same Lanczos
-core. Multi-segment protocols (forward plus sign-flipped backward
-evolution, with or without drive) are executed by ``run_protocol``.
+Sinusoidally driven Hamiltonians are integrated with fourth-order
+commutator-free exponential substeps (two Gauss nodes per substep), each
+exponential going through the same Lanczos core. Multi-segment protocols
+(forward plus sign-flipped backward evolution, with or without drive) are
+executed by ``run_protocol``.
 """
 
 from __future__ import annotations
@@ -226,17 +226,14 @@ def evolve_driven(
     dt_sub_ns: float,
     tol: float = DEFAULT_TOL,
     m_max: int = DEFAULT_KRYLOV_DIM,
-    scheme: str = "cf4",
 ) -> StateVector:
     """Evolve under ``H_static + cos(nu (t - t0)) D`` from t0 to t1.
 
     The interval is split into substeps no longer than dt_sub_ns. The
-    default scheme is a fourth-order commutator-free integrator: each
-    substep applies two exponentials of ``H_static + gamma D`` for time h/2,
-    with gamma mixing the cosine sampled at the two Gauss nodes of the
-    substep. ``scheme="midpoint"`` selects the second-order variant with
-    the Hamiltonian frozen at the substep midpoint. D must be diagonal;
-    use build_number_weighted for the modulation term.
+    integrator is fourth-order commutator-free: each substep applies two
+    exponentials of ``H_static + gamma D`` for time h/2, with gamma mixing
+    the cosine sampled at the two Gauss nodes of the substep. D must be
+    diagonal; use build_number_weighted for the modulation term.
     """
     if not H_static.hermitian:
         raise ValueError("static part must be Hermitian")
@@ -248,8 +245,6 @@ def evolve_driven(
         raise ValueError("t1 must not precede t0")
     if not dt_sub_ns > 0:
         raise ValueError("substep size must be positive")
-    if scheme not in ("cf4", "midpoint"):
-        raise ValueError(f"unknown integrator scheme {scheme!r}")
     span = float(t1_ns - t0_ns)
     if span == 0.0:
         return psi.copy()
@@ -262,25 +257,16 @@ def evolve_driven(
     raw = psi.amplitudes
     for k in range(nsub):
         t_k = t0_ns + k * h
-        if scheme == "midpoint":
-            c = math.cos(nu * (t_k + 0.5 * h - origin))
-            cd = c * d
+        c1 = math.cos(nu * (t_k + (0.5 - _SQRT3 / 6.0) * h - origin))
+        c2 = math.cos(nu * (t_k + (0.5 + _SQRT3 / 6.0) * h - origin))
+        for g in (2.0 * (_CF4_HI * c1 + _CF4_LO * c2),
+                  2.0 * (_CF4_LO * c1 + _CF4_HI * c2)):
+            gd = g * d
 
-            def matvec(v, _cd=cd):
-                return Hmv(v) + _cd * v
+            def matvec(v, _gd=gd):
+                return Hmv(v) + _gd * v
 
-            raw = _krylov_expm(matvec, raw, h, tol, m_max)
-        else:
-            c1 = math.cos(nu * (t_k + (0.5 - _SQRT3 / 6.0) * h - origin))
-            c2 = math.cos(nu * (t_k + (0.5 + _SQRT3 / 6.0) * h - origin))
-            for g in (2.0 * (_CF4_HI * c1 + _CF4_LO * c2),
-                      2.0 * (_CF4_LO * c1 + _CF4_HI * c2)):
-                gd = g * d
-
-                def matvec(v, _gd=gd):
-                    return Hmv(v) + _gd * v
-
-                raw = _krylov_expm(matvec, raw, 0.5 * h, tol, m_max)
+            raw = _krylov_expm(matvec, raw, 0.5 * h, tol, m_max)
     return _finish(psi.basis, raw, tol)
 
 

@@ -9,7 +9,6 @@ numerics or resource error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from ..analysis import ResourceLimitError, sector_spectrum
@@ -18,7 +17,7 @@ from ..propagator import NumericsError
 from .config import ConfigError, load_config
 from .experiments import SweepSpec, run_experiment, run_sweep, write_output
 from .presets import preset, preset_names, preset_text
-from .records import default_output_dir, write_spectrum
+from .records import write_result
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,13 +76,7 @@ def _cmd_preset(args) -> int:
         if args.format:
             config = config.with_overrides({"format": args.format})
         if config.sweep_axes:
-            spec = SweepSpec.from_config(config)
-            results = run_sweep(spec)
-            failures = [r for r in results if r.error]
-            for r in results:
-                tag = r.path if r.path else f"FAILED: {r.error}"
-                print(f"{r.params} -> {tag}")
-            return 3 if failures else 0
+            return _report_sweep(SweepSpec.from_config(config))
         result = run_experiment(config)
         path = args.output or config.output_path or f"{args.name}.{config.output_format}"
         path = write_output(config, result, path)
@@ -106,6 +99,14 @@ def _parse_axes(pairs) -> dict:
     return axes
 
 
+def _report_sweep(spec: SweepSpec) -> int:
+    """Run a sweep, print each point's output or error; 3 if any point failed."""
+    results = run_sweep(spec)
+    for r in results:
+        print(f"{r.params} -> {r.path if r.path else f'FAILED: {r.error}'}")
+    return 3 if any(r.error for r in results) else 0
+
+
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
     spec = SweepSpec.from_config(
@@ -115,12 +116,7 @@ def _cmd_sweep(args) -> int:
         output_dir=args.outdir,
     )
     print(f"sweep over {spec.size} point(s)")
-    results = run_sweep(spec)
-    failures = [r for r in results if r.error]
-    for r in results:
-        tag = r.path if r.path else f"FAILED: {r.error}"
-        print(f"{r.params} -> {tag}")
-    return 3 if failures else 0
+    return _report_sweep(spec)
 
 
 def _cmd_spectrum(args) -> int:
@@ -137,11 +133,7 @@ def _cmd_spectrum(args) -> int:
     print(f"dimension {report.dim}, energies (value/2pi) {lo:.3f} .. {hi:.3f} MHz, "
           f"{len(set(report.bands.tolist()))} band(s)")
     if args.output:
-        path = args.output
-        if not os.path.isabs(path) and os.path.dirname(path) == "":
-            path = os.path.join(default_output_dir(), path)
-        write_spectrum(report, path, args.format)
-        print(f"wrote {path}")
+        print(f"wrote {write_result(report, args.output, args.format)}")
     return 0
 
 

@@ -13,6 +13,8 @@ import math
 import os
 from dataclasses import dataclass, field
 
+from ..fockspace import MAX_LEVELS
+
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "TABLE_S1_U_MHZ"]
 
 # Alternating odd/even anharmonicity magnitudes of a typical ten-transmon
@@ -234,8 +236,8 @@ def _validate(entries: dict, source_text: str = "") -> ExperimentConfig:
     if sites < 1:
         raise ConfigError(f"need at least one site, got {sites}", key="sites")
     levels = _want_int(entries, "levels", 3)
-    if levels < 2:
-        raise ConfigError(f"need at least two levels, got {levels}", key="levels")
+    if not 2 <= levels <= MAX_LEVELS:
+        raise ConfigError(f"need 2 to {MAX_LEVELS} levels, got {levels}", key="levels")
 
     both = _float_list(entries, "coupling_and_field_mhz", 1)
     coupling = _float_list(entries, "coupling_mhz", max(sites - 1, 1), default_scalar=10.8)

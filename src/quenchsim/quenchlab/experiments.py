@@ -6,13 +6,12 @@ import itertools
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ..analysis import (
     ObservableRecord,
-    SpectrumReport,
     anharmonicity_expectation,
     fidelity,
     half_chain_entropy,
@@ -21,18 +20,10 @@ from ..analysis import (
     site_populations,
 )
 from ..fockspace import build_basis, build_product_state, embed_state, parse_product_state
-from ..operators import (
-    AnharmonicityProfile,
-    CouplingProfile,
-    DriveSpec,
-    TransverseProfile,
-    build_hopping,
-    build_onsite_anharmonicity,
-    build_transverse,
-)
-from ..propagator import Protocol, Segment, evolve_static, reverse_of, run_protocol
+from ..operators import AnharmonicityProfile, CouplingProfile, DriveSpec, TransverseProfile
+from ..propagator import Protocol, Segment, reverse_of, run_protocol
 from .config import ConfigError, ExperimentConfig
-from .records import default_output_dir, write_records, write_spectrum
+from .records import default_output_dir, write_result
 
 __all__ = ["run_experiment", "SweepSpec", "run_sweep", "write_output"]
 
@@ -144,7 +135,7 @@ def _observer(config: ExperimentConfig, psi0=None):
     return observe
 
 
-def _segment(config, duration, coupling, anh, trans, drive):
+def _segment(duration, coupling, anh, trans, drive):
     return Segment(
         duration_ns=duration,
         coupling=coupling,
@@ -172,61 +163,35 @@ def run_experiment(config: ExperimentConfig):
     drive_f, drive_b = _drive_specs(config)
 
     if config.mode == "time-reversal":
-        seg_f = _segment(config, config.forward_ns, coupling, anh, trans, drive_f)
-        if drive_f is not None:
-            if drive_b is None:
-                raise ConfigError(
-                    "driven time reversal needs drive_backward_mhz",
-                    key="drive_backward_mhz",
-                )
-            seg_b = reverse_of(seg_f, drive_override=drive_b)
-        else:
-            seg_b = reverse_of(seg_f)
-        protocol = Protocol(
-            (seg_f, seg_b),
-            sample_dt_ns=None if config.stroboscopic else config.dt_ns,
-            stroboscopic=config.stroboscopic,
-            drive_substep_ns=config.drive_substep_ns,
-        )
-        observe = _observer(config, psi0=psi0)
-        traj = run_protocol(protocol, psi0, observer=observe)
-        return traj.records
+        if drive_f is not None and drive_b is None:
+            raise ConfigError(
+                "driven time reversal needs drive_backward_mhz", key="drive_backward_mhz"
+            )
+        seg_f = _segment(config.forward_ns, coupling, anh, trans, drive_f)
+        segments = (seg_f, reverse_of(seg_f, drive_override=drive_b))
+    else:
+        segments = (_segment(config.duration_ns, coupling, anh, trans, drive_f),)
+    protocol = Protocol(
+        segments,
+        sample_dt_ns=None if config.stroboscopic else config.dt_ns,
+        stroboscopic=config.stroboscopic,
+        drive_substep_ns=config.drive_substep_ns,
+    )
+    observe = _observer(config, psi0)
+    if config.mode != "one-direction-compare":
+        return run_protocol(protocol, psi0, observer=observe).records
 
-    if config.mode == "single-run":
-        seg = _segment(config, config.duration_ns, coupling, anh, trans, drive_f)
-        protocol = Protocol(
-            (seg,),
-            sample_dt_ns=None if config.stroboscopic else config.dt_ns,
-            stroboscopic=config.stroboscopic,
-            drive_substep_ns=config.drive_substep_ns,
-        )
-        observe = _observer(config, psi0=psi0)
-        traj = run_protocol(protocol, psi0, observer=observe)
-        return traj.records
-
-    # one-direction-compare: the same initial state evolved under the
-    # two-level hopping model and under the K-level model with on-site
-    # interaction, cross fidelity taken through basis embedding.
+    # one-direction-compare: the same protocol on the two-level basis, where
+    # the on-site term U/2 n(n-1) vanishes, gives the hopping-model reference
+    # state at every sample; the K-level run records its cross fidelity.
     basis2 = build_basis(config.sites, 2, sector=sector)
-    psi2 = _initial_state(config, basis2)
-    psiK = psi0
-    H2 = build_hopping(basis2, coupling)
-    HK = build_hopping(basis, coupling) + build_onsite_anharmonicity(basis, anh)
-    if not trans.is_zero():
-        H2 = H2 + build_transverse(basis2, trans)
-        HK = HK + build_transverse(basis, trans)
-    observe = _observer(config)
-    seg = _segment(config, config.duration_ns, coupling, anh, trans, None)
-    times = Protocol((seg,), sample_dt_ns=config.dt_ns).sample_times()
-    records = []
-    for i, t in enumerate(times):
-        if i:
-            dt = float(t - times[i - 1])
-            psi2 = evolve_static(H2, psi2, dt)
-            psiK = evolve_static(HK, psiK, dt)
-        cross = fidelity(embed_state(psi2, basis), psiK)
-        records.append(observe(float(t), psiK, cross=cross))
-    return records
+    ref = run_protocol(replace(protocol, record_states=True), _initial_state(config, basis2))
+    refs = iter(ref.states)
+
+    def compare(t, psi):
+        return observe(t, psi, cross=fidelity(embed_state(next(refs), basis), psi))
+
+    return run_protocol(protocol, psi0, observer=compare).records
 
 
 def write_output(config: ExperimentConfig, result, path=None) -> str:
@@ -235,14 +200,7 @@ def write_output(config: ExperimentConfig, result, path=None) -> str:
         path = config.output_path
     if path is None:
         raise ValueError("no output path configured")
-    path = os.fspath(path)
-    if not os.path.isabs(path) and os.path.dirname(path) == "":
-        path = os.path.join(default_output_dir(), path)
-    if isinstance(result, SpectrumReport):
-        write_spectrum(result, path, config.output_format)
-    else:
-        write_records(result, path, config.output_format, sites=config.sites)
-    return path
+    return write_result(result, path, config.output_format, sites=config.sites)
 
 
 @dataclass
@@ -300,12 +258,7 @@ def _point_name(stem: str, params: dict, fmt: str) -> str:
 
 def _run_point(base: ExperimentConfig, params: dict, out_path: str) -> str:
     config = base.with_overrides(params)
-    result = run_experiment(config)
-    if isinstance(result, SpectrumReport):
-        write_spectrum(result, out_path, config.output_format)
-    else:
-        write_records(result, out_path, config.output_format, sites=config.sites)
-    return out_path
+    return write_output(config, run_experiment(config), out_path)
 
 
 def run_sweep(spec: SweepSpec) -> list:
@@ -321,7 +274,6 @@ def run_sweep(spec: SweepSpec) -> list:
     out_dir = spec.output_dir or (
         os.path.dirname(base.output_path) if base.output_path else None
     ) or default_output_dir()
-    os.makedirs(out_dir, exist_ok=True)
 
     keys = list(spec.axes)
     grid = [

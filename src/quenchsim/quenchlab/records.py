@@ -15,7 +15,7 @@ import numpy as np
 from ..analysis import ObservableRecord, SpectrumReport
 from ..operators import mhz_from_omega
 
-__all__ = ["record_columns", "write_records", "read_records", "write_spectrum"]
+__all__ = ["record_columns", "write_records", "read_records", "write_spectrum", "write_result"]
 
 
 def _fmt(value) -> str:
@@ -131,6 +131,23 @@ def write_spectrum(report: SpectrumReport, path, format: str = "csv") -> None:
                     + (",\n" if n < len(rows) - 1 else "\n")
                 )
             fh.write("]\n")
+
+
+def write_result(result, path, format: str = "csv", sites: int | None = None) -> str:
+    """Write records or a SpectrumReport to path; return the path written.
+
+    A bare file name lands in ``default_output_dir()``, and a missing
+    parent directory is created.
+    """
+    path = os.fspath(path)
+    if not os.path.dirname(path):
+        path = os.path.join(default_output_dir(), path)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    if isinstance(result, SpectrumReport):
+        write_spectrum(result, path, format)
+    else:
+        write_records(result, path, format, sites=sites)
+    return path
 
 
 def default_output_dir() -> str:

@@ -15,6 +15,7 @@ from quenchsim import (
     embed_state,
     parse_product_state,
 )
+from quenchsim.fockspace import MAX_LEVELS
 
 
 def brute_force_sector(L, K, N):
@@ -308,3 +309,10 @@ class TestBasisGuard:
     def test_too_large_fails_before_enumeration(self, L, K, N):
         with pytest.raises(ResourceLimitError):
             build_basis(L, K, sector=N)
+
+    def test_levels_capped_at_int8_range(self):
+        assert MAX_LEVELS == 128
+        basis = build_basis(1, 128)
+        assert basis.states.min() == 0 and basis.states.max() == 127
+        with pytest.raises(ValueError, match="levels"):
+            build_basis(1, 129)

@@ -216,16 +216,6 @@ class TestEvolveDriven:
         b = evolve_driven(Hs, D, drive, psi, 0.0, 10 * T, h / 2)
         assert np.linalg.norm(a.amplitudes - b.amplitudes) <= 1e-6
 
-    def test_midpoint_scheme_is_second_order(self):
-        basis, Hs, D, drive, psi = self._setup()
-        T = drive.period_ns
-        ref = evolve_driven(Hs, D, drive, psi, 0.0, T, T / 2048)
-        errs = []
-        for div in (16, 32):
-            out = evolve_driven(Hs, D, drive, psi, 0.0, T, T / div, scheme="midpoint")
-            errs.append(np.linalg.norm(out.amplitudes - ref.amplitudes))
-        assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.3)
-
     def test_effective_coupling_high_frequency_limit(self):
         # at nu >> J the stroboscopic dynamics is the J0-renormalized chain
         L = 4
@@ -252,8 +242,6 @@ class TestEvolveDriven:
             evolve_driven(Hs, D, drive, psi, 10.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             evolve_driven(Hs, Hs, drive, psi, 0.0, 10.0, 1.0)  # D not diagonal
-        with pytest.raises(ValueError):
-            evolve_driven(Hs, D, drive, psi, 0.0, 10.0, 1.0, scheme="euler")
 
 
 def make_segment(duration, J_mhz, U_mhz, L, Omega_mhz=None, drive=None, **kw):

@@ -267,6 +267,48 @@ dt_ns = 20
         expected = fidelity(embed_state(psi2, bK), psiK)
         assert records[-1].fidelity == pytest.approx(expected, abs=1e-10)
 
+    def test_one_direction_compare_transverse_matches_manual(self):
+        text = """
+[lattice]
+sites = 3
+levels = 3
+[profiles]
+transverse_mhz = 5
+[state]
+initial = 110
+[protocol]
+mode = one-direction-compare
+duration_ns = 40
+[sampling]
+dt_ns = 20
+"""
+        records = run_experiment(load_config(text))
+        from quenchsim import (
+            AnharmonicityProfile,
+            CouplingProfile,
+            TransverseProfile,
+            build_hopping,
+            build_onsite_anharmonicity,
+            build_transverse,
+            embed_state,
+            evolve_static,
+        )
+
+        b2 = build_basis(3, 2)
+        bK = build_basis(3, 3)
+        cp = CouplingProfile.from_mhz([10.8, 10.8])
+        up = AnharmonicityProfile.from_mhz([212.0, 264.0, 210.0])
+        tp = TransverseProfile.from_mhz([5.0] * 3)
+        H2 = build_hopping(b2, cp) + build_transverse(b2, tp)
+        HK = build_hopping(bK, cp) + build_onsite_anharmonicity(bK, up) + build_transverse(bK, tp)
+        psi2 = evolve_static(H2, parse_product_state("110", b2), 40.0)
+        psiK = evolve_static(HK, parse_product_state("110", bK), 40.0)
+        assert [r.time_ns for r in records] == [0.0, 20.0, 40.0]
+        assert records[0].fidelity == pytest.approx(1.0, abs=1e-12)
+        expected = fidelity(embed_state(psi2, bK), psiK)
+        assert records[-1].fidelity == pytest.approx(expected, abs=1e-10)
+        assert 0.0 < expected < 0.999  # the field and the third level both act
+
     def test_sector_auto_and_full_agree(self):
         base = """
 [lattice]
@@ -455,6 +497,30 @@ class TestCli:
         out = tmp_path / "out.csv"
         assert main(["run", "-c", str(cfg_path), "-o", str(out)]) == 0
         assert out.exists()
+
+    def test_run_into_missing_directory(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(MINIMAL)
+        out = tmp_path / "new" / "out.csv"
+        assert main(["run", "-c", str(cfg_path), "-o", str(out)]) == 0
+        assert out.read_text().startswith("time_ns,fidelity,")
+
+    def test_spectrum_into_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "new" / "s.csv"
+        rc = main(["spectrum", "-L", "3", "-N", "1", "-K", "2",
+                   "--J", "8", "--U", "240", "-o", str(out)])
+        assert rc == 0
+        assert len(out.read_text().splitlines()) == 1 + 3
+
+    def test_too_many_levels_exit_2(self, tmp_path, capsys):
+        text = MINIMAL.replace("levels = 2", "levels = 200")
+        with pytest.raises(ConfigError, match="levels"):
+            load_config(text)
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(text)
+        assert main(["run", "-c", str(cfg_path), "-o", str(tmp_path / "o.csv")]) == 2
+        assert "levels" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_validation_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
