@@ -74,9 +74,6 @@ class CouplingProfile:
         n = n_bonds if n_bonds is not None else len(vals)
         return cls(tuple(omega_from_mhz(v) for v in _as_tuple(vals, n, "coupling")))
 
-    def mhz(self) -> list:
-        return [mhz_from_omega(v) for v in self.values]
-
     def __len__(self) -> int:
         return len(self.values)
 
@@ -101,9 +98,6 @@ class AnharmonicityProfile:
         n = n_sites if n_sites is not None else len(vals)
         return cls(tuple(omega_from_mhz(v) for v in _as_tuple(vals, n, "anharmonicity")))
 
-    def mhz(self) -> list:
-        return [mhz_from_omega(v) for v in self.values]
-
     def __len__(self) -> int:
         return len(self.values)
 
@@ -120,9 +114,6 @@ class TransverseProfile:
         n = n_sites if n_sites is not None else len(vals)
         return cls(tuple(omega_from_mhz(v) for v in _as_tuple(vals, n, "transverse field")))
 
-    def mhz(self) -> list:
-        return [mhz_from_omega(v) for v in self.values]
-
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values)
 
@@ -132,31 +123,28 @@ class TransverseProfile:
 
 @dataclass(frozen=True)
 class DriveSpec:
-    """Sinusoidal site-frequency modulation ``eps_j cos(nu (t - t0))``.
+    """Sinusoidal site-frequency modulation ``eps_j cos(nu t)``.
 
     ``eps`` holds the signed per-site amplitudes and ``nu`` the drive
-    frequency, both in rad/ns. ``phase_origin_ns`` is the time at which the
-    cosine argument vanishes, interpreted by the protocol runner (by default
-    relative to the start of the segment that carries the drive).
+    frequency, both in rad/ns. The phase vanishes at t = 0 of whatever time
+    axis the integrator is given; ``run_protocol`` measures t from the start
+    of the segment that carries the drive.
     """
 
     eps: tuple
     nu: float
-    phase_origin_ns: float = 0.0
 
     def __post_init__(self):
         if any(e != 0 for e in self.eps) and not self.nu > 0:
             raise ValueError("drive frequency must be positive when any amplitude is nonzero")
 
     @classmethod
-    def from_mhz(cls, eps_mhz, nu_mhz: float, phase_origin_ns: float = 0.0) -> "DriveSpec":
+    def from_mhz(cls, eps_mhz, nu_mhz: float) -> "DriveSpec":
         eps = tuple(omega_from_mhz(v) for v in np.atleast_1d(eps_mhz))
-        return cls(eps, omega_from_mhz(nu_mhz), phase_origin_ns)
+        return cls(eps, omega_from_mhz(nu_mhz))
 
     @classmethod
-    def staggered_odd(
-        cls, L: int, eps_mhz: float, nu_mhz: float, phase_origin_ns: float = 0.0
-    ) -> "DriveSpec":
+    def staggered_odd(cls, L: int, eps_mhz: float, nu_mhz: float) -> "DriveSpec":
         """Drive sites 1, 3, 5, ... (1-based) with alternating signs.
 
         The driven sites get amplitudes +eps, -eps, +eps, ... and the others
@@ -167,7 +155,7 @@ class DriveSpec:
         for j in range(0, L, 2):
             eps[j] = sign * eps_mhz
             sign = -sign
-        return cls.from_mhz(eps, nu_mhz, phase_origin_ns)
+        return cls.from_mhz(eps, nu_mhz)
 
     @property
     def period_ns(self) -> float:
@@ -272,6 +260,23 @@ class SparseOperator:
         return f"SparseOperator({self.basis!r}, nnz={self.nnz}, {tag})"
 
 
+def _hermitian_pairs(basis: FockBasis, pairs) -> SparseOperator:
+    """Hermitian operator with entries ``amp`` at (tgt, src) and (src, tgt).
+
+    ``pairs`` is a list of (src, tgt, amp) index and real-amplitude arrays;
+    each contributes both mirrored entries, so the result is exactly
+    Hermitian. An empty list gives the zero operator.
+    """
+    if not pairs:
+        return SparseOperator(basis, sp.csr_matrix((basis.dim, basis.dim)), True)
+    rows = [a for src, tgt, _ in pairs for a in (tgt, src)]
+    cols = [a for src, tgt, _ in pairs for a in (src, tgt)]
+    vals = [a for _, _, amp in pairs for a in (amp, amp)]
+    return SparseOperator.from_triplets(
+        basis, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), True
+    )
+
+
 def build_hopping(basis: FockBasis, profile: CouplingProfile) -> SparseOperator:
     """Hopping term ``sum_j J_j (a+_j a_{j+1} + h.c.)`` over the basis.
 
@@ -282,31 +287,18 @@ def build_hopping(basis: FockBasis, profile: CouplingProfile) -> SparseOperator:
     if len(profile) != basis.L - 1:
         raise ValueError(f"coupling profile needs {basis.L - 1} bonds, got {len(profile)}")
     n = basis.states
-    codes = basis.codes
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
+    pairs = []
     for j, Jj in enumerate(profile.values):
         if Jj == 0:
             continue
         # a+_j a_{j+1}: needs headroom on j and a particle on j+1.
-        mask = (n[:, j] < basis.K - 1) & (n[:, j + 1] > 0)
-        if not np.any(mask):
-            continue
-        src = np.nonzero(mask)[0]
+        src = np.nonzero((n[:, j] < basis.K - 1) & (n[:, j + 1] > 0))[0]
         amp = Jj * np.sqrt(
             (n[src, j].astype(np.float64) + 1.0) * n[src, j + 1].astype(np.float64)
         )
-        tgt_codes = codes[src] + int(basis.site_radix[j]) - int(basis.site_radix[j + 1])
-        tgt = basis.indices_from_codes(tgt_codes)
-        rows.extend((tgt, src))
-        cols.extend((src, tgt))
-        vals.extend((amp, amp))
-    if not rows:
-        return SparseOperator(basis, sp.csr_matrix((basis.dim, basis.dim)), True)
-    return SparseOperator.from_triplets(
-        basis, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), True
-    )
+        shift = int(basis.site_radix[j]) - int(basis.site_radix[j + 1])
+        pairs.append((src, basis.indices_from_codes(basis.codes[src] + shift), amp))
+    return _hermitian_pairs(basis, pairs)
 
 
 def build_onsite_anharmonicity(
@@ -347,25 +339,15 @@ def build_transverse(basis: FockBasis, profile: TransverseProfile) -> SparseOper
             "transverse field breaks number conservation; build it on the full basis"
         )
     n = basis.states
-    codes = basis.codes
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
+    pairs = []
     for j, Oj in enumerate(profile.values):
         if Oj == 0:
             continue
-        mask = n[:, j] < basis.K - 1
-        src = np.nonzero(mask)[0]
+        src = np.nonzero(n[:, j] < basis.K - 1)[0]
         amp = 0.5 * Oj * np.sqrt(n[src, j].astype(np.float64) + 1.0)
-        tgt = basis.indices_from_codes(codes[src] + int(basis.site_radix[j]))
-        rows.extend((tgt, src))
-        cols.extend((src, tgt))
-        vals.extend((amp, amp))
-    if not rows:
-        return SparseOperator(basis, sp.csr_matrix((basis.dim, basis.dim)), True)
-    return SparseOperator.from_triplets(
-        basis, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), True
-    )
+        tgt = basis.indices_from_codes(basis.codes[src] + int(basis.site_radix[j]))
+        pairs.append((src, tgt, amp))
+    return _hermitian_pairs(basis, pairs)
 
 
 def bessel_j0(x: float) -> float:

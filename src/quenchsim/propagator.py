@@ -9,7 +9,10 @@ Sinusoidally driven Hamiltonians are integrated with fourth-order
 commutator-free exponential substeps (two Gauss nodes per substep), each
 exponential going through the same Lanczos core. Multi-segment protocols
 (forward plus sign-flipped backward evolution, with or without drive) are
-executed by ``run_protocol``.
+executed by ``run_protocol``: every driven segment restarts its drive phase
+at its own start and is integrated in substeps of ``default_substep_ns``
+(T/64), and every exponential uses ``DEFAULT_TOL`` and
+``DEFAULT_KRYLOV_DIM``.
 """
 
 from __future__ import annotations
@@ -49,8 +52,6 @@ __all__ = [
     "run_protocol",
     "default_substep_ns",
 ]
-
-_TWO_PI = 2.0 * math.pi
 
 DEFAULT_TOL = 1e-10
 DEFAULT_KRYLOV_DIM = 30
@@ -178,9 +179,9 @@ def _krylov_expm(matvec, psi, dt, tol, m_max, max_halvings=48):
     return v
 
 
-def _finish(basis: FockBasis, raw: np.ndarray, tol: float) -> StateVector:
+def _finish(basis: FockBasis, raw: np.ndarray) -> StateVector:
     nrm = float(np.linalg.norm(raw))
-    if abs(nrm - 1.0) > max(1e-8, 100 * tol):
+    if abs(nrm - 1.0) > 1e-8:
         raise NumericsError(f"propagated state norm drifted to {nrm:.3e}")
     return StateVector(basis, raw / nrm, normalize=False)
 
@@ -189,7 +190,6 @@ def evolve_static(
     H: SparseOperator,
     psi: StateVector,
     dt_ns: float,
-    tol: float = DEFAULT_TOL,
     m_max: int = DEFAULT_KRYLOV_DIM,
     max_halvings: int = 48,
 ) -> StateVector:
@@ -206,8 +206,9 @@ def evolve_static(
         raise ValueError("operator and state live on different bases")
     if dt_ns == 0.0:
         return psi.copy()
-    raw = _krylov_expm(H.matvec, psi.amplitudes, float(dt_ns), tol, m_max, max_halvings)
-    return _finish(psi.basis, raw, tol)
+    raw = _krylov_expm(H.matvec, psi.amplitudes, float(dt_ns), DEFAULT_TOL, m_max,
+                       max_halvings)
+    return _finish(psi.basis, raw)
 
 
 # Fourth-order commutator-free coefficients (two Gauss nodes per substep).
@@ -224,13 +225,13 @@ def evolve_driven(
     t0_ns: float,
     t1_ns: float,
     dt_sub_ns: float,
-    tol: float = DEFAULT_TOL,
-    m_max: int = DEFAULT_KRYLOV_DIM,
 ) -> StateVector:
-    """Evolve under ``H_static + cos(nu (t - t0)) D`` from t0 to t1.
+    """Evolve under ``H_static + cos(nu t) D`` from t0 to t1.
 
-    The interval is split into substeps no longer than dt_sub_ns. The
-    integrator is fourth-order commutator-free: each substep applies two
+    t is the caller's time axis: the drive phase vanishes at t = 0, so a
+    caller that wants the phase to restart passes times relative to that
+    restart. The interval is split into substeps no longer than dt_sub_ns.
+    The integrator is fourth-order commutator-free: each substep applies two
     exponentials of ``H_static + gamma D`` for time h/2, with gamma mixing
     the cosine sampled at the two Gauss nodes of the substep. D must be
     diagonal; use build_number_weighted for the modulation term.
@@ -250,15 +251,14 @@ def evolve_driven(
         return psi.copy()
     d = np.real(D.diagonal())
     nu = drive.nu
-    origin = drive.phase_origin_ns
     nsub = max(1, math.ceil(span / dt_sub_ns - 1e-12))
     h = span / nsub
     Hmv = H_static.matvec
     raw = psi.amplitudes
     for k in range(nsub):
         t_k = t0_ns + k * h
-        c1 = math.cos(nu * (t_k + (0.5 - _SQRT3 / 6.0) * h - origin))
-        c2 = math.cos(nu * (t_k + (0.5 + _SQRT3 / 6.0) * h - origin))
+        c1 = math.cos(nu * (t_k + (0.5 - _SQRT3 / 6.0) * h))
+        c2 = math.cos(nu * (t_k + (0.5 + _SQRT3 / 6.0) * h))
         for g in (2.0 * (_CF4_HI * c1 + _CF4_LO * c2),
                   2.0 * (_CF4_LO * c1 + _CF4_HI * c2)):
             gd = g * d
@@ -266,18 +266,19 @@ def evolve_driven(
             def matvec(v, _gd=gd):
                 return Hmv(v) + _gd * v
 
-            raw = _krylov_expm(matvec, raw, 0.5 * h, tol, m_max)
-    return _finish(psi.basis, raw, tol)
+            raw = _krylov_expm(matvec, raw, 0.5 * h, DEFAULT_TOL, DEFAULT_KRYLOV_DIM)
+    return _finish(psi.basis, raw)
 
 
 @dataclass(frozen=True)
 class Segment:
     """One leg of a protocol: a duration plus the Hamiltonian that rules it.
 
-    The coupling and transverse terms carry flippable signs while the
-    anharmonicity never flips sign; it is only switched on or off (off is
-    how a two-level reference without on-site interaction is expressed
-    on a multilevel basis).
+    The coupling and transverse terms carry flippable signs; the
+    anharmonicity never flips sign. On a two-level basis the on-site term
+    U/2 n(n-1) vanishes, so the same segment gives the hopping model there.
+    A drive, if any, adds ``cos(nu t) sum_j eps_j n_j`` with t measured
+    from the segment's start.
     """
 
     duration_ns: float
@@ -286,7 +287,6 @@ class Segment:
     transverse: TransverseProfile | None = None
     coupling_sign: int = 1
     transverse_sign: int = 1
-    include_anharmonicity: bool = True
     drive: DriveSpec | None = None
 
     def __post_init__(self):
@@ -297,8 +297,7 @@ class Segment:
 
     def static_hamiltonian(self, basis: FockBasis) -> SparseOperator:
         H = float(self.coupling_sign) * build_hopping(basis, self.coupling)
-        if self.include_anharmonicity:
-            H = H + build_onsite_anharmonicity(basis, self.anharmonicity)
+        H = H + build_onsite_anharmonicity(basis, self.anharmonicity)
         if self.transverse is not None and not self.transverse.is_zero():
             H = H + float(self.transverse_sign) * build_transverse(basis, self.transverse)
         return H
@@ -332,9 +331,7 @@ class Protocol:
 
     Either uniform sampling every ``sample_dt_ns`` or stroboscopic sampling
     at integer multiples of the drive period. Segment boundaries are always
-    sampled. With ``continuous_drive_phase`` the drive phase reference is
-    global time zero; by default each segment restarts its drive phase.
-    A schedule of more than ``MAX_SAMPLES`` samples raises
+    sampled. A schedule of more than ``MAX_SAMPLES`` samples raises
     ResourceLimitError before any sample time is made.
     """
 
@@ -342,8 +339,6 @@ class Protocol:
     sample_dt_ns: float | None = None
     stroboscopic: bool = False
     record_states: bool = False
-    continuous_drive_phase: bool = False
-    drive_substep_ns: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
@@ -351,8 +346,6 @@ class Protocol:
             raise ValueError("choose either uniform or stroboscopic sampling")
         if self.sample_dt_ns is not None and not self.sample_dt_ns > 0:
             raise ValueError("sampling step must be positive")
-        if self.drive_substep_ns is not None and not self.drive_substep_ns > 0:
-            raise ValueError("drive substep must be positive")
         if self.stroboscopic and self._drive_period() is None:
             raise ValueError("stroboscopic sampling requires a driven segment")
 
@@ -416,7 +409,7 @@ class Trajectory:
 
 
 def default_substep_ns(drive: DriveSpec) -> float:
-    """Default integration substep for a driven segment: T/64."""
+    """Integration substep of every driven segment in run_protocol: T/64."""
     return drive.period_ns / SUBSTEPS_PER_PERIOD
 
 
@@ -424,8 +417,6 @@ def run_protocol(
     protocol: Protocol,
     psi0: StateVector,
     observer: Callable[[float, StateVector], object] | None = None,
-    tol: float = DEFAULT_TOL,
-    m_max: int = DEFAULT_KRYLOV_DIM,
 ) -> Trajectory:
     """Evolve through all segments, sampling on the protocol's schedule.
 
@@ -458,23 +449,15 @@ def run_protocol(
             continue  # its boundary coincides with a sample already taken
         H = seg.static_hamiltonian(basis)
         D = seg.drive_operator(basis)
-        drive = None
-        dt_sub = None
-        if D is not None:
-            origin_base = 0.0 if protocol.continuous_drive_phase else seg_start
-            drive = replace(
-                seg.drive, phase_origin_ns=origin_base + seg.drive.phase_origin_ns
-            )
-            dt_sub = protocol.drive_substep_ns or default_substep_ns(drive)
         t_prev = seg_start
         while next_sample < times.size and times[next_sample] <= seg_end + 1e-9:
             t_next = min(float(times[next_sample]), seg_end)
             if D is None:
-                psi = evolve_static(H, psi, t_next - t_prev, tol=tol, m_max=m_max)
+                psi = evolve_static(H, psi, t_next - t_prev)
             else:
-                psi = evolve_driven(
-                    H, D, drive, psi, t_prev, t_next, dt_sub, tol=tol, m_max=m_max
-                )
+                # segment-relative times: each segment restarts its drive phase
+                psi = evolve_driven(H, D, seg.drive, psi, t_prev - seg_start,
+                                    t_next - seg_start, default_substep_ns(seg.drive))
             emit(t_next, psi)
             t_prev = t_next
             next_sample += 1

@@ -16,7 +16,7 @@ from ..operators import AnharmonicityProfile, CouplingProfile, mhz_from_omega
 from ..propagator import NumericsError
 from .config import ConfigError, load_config
 from .experiments import SweepSpec, run_experiment, run_sweep, write_output
-from .presets import preset, preset_names, preset_text
+from .presets import preset, preset_text
 from .records import write_result
 
 
@@ -59,29 +59,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args) -> int:
-    config = load_config(args.config)
+def _run_and_write(config, args, stem: str, sweep: bool = False) -> int:
+    """Apply --format, run the config, write its result and print the path.
+
+    The result goes to -o, else the config's path, else ``<stem>.<format>``.
+    With ``sweep``, a config that has sweep axes runs as a sweep instead.
+    """
     if args.format:
         config = config.with_overrides({"format": args.format})
-    result = run_experiment(config)
-    path = args.output or config.output_path or "run." + config.output_format
-    path = write_output(config, result, path)
-    print(f"wrote {path}")
+    if sweep and config.sweep_axes:
+        return _report_sweep(SweepSpec.from_config(config))
+    path = args.output or config.output_path or f"{stem}.{config.output_format}"
+    print(f"wrote {write_output(config, run_experiment(config), path)}")
     return 0
+
+
+def _cmd_run(args) -> int:
+    return _run_and_write(load_config(args.config), args, "run")
 
 
 def _cmd_preset(args) -> int:
     if args.do_run:
-        config = preset(args.name)
-        if args.format:
-            config = config.with_overrides({"format": args.format})
-        if config.sweep_axes:
-            return _report_sweep(SweepSpec.from_config(config))
-        result = run_experiment(config)
-        path = args.output or config.output_path or f"{args.name}.{config.output_format}"
-        path = write_output(config, result, path)
-        print(f"wrote {path}")
-        return 0
+        return _run_and_write(preset(args.name), args, args.name, sweep=True)
     sys.stdout.write(preset_text(args.name))
     return 0
 
@@ -120,12 +119,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    n_bonds = max(args.sites - 1, 1)
     report = sector_spectrum(
         args.sites,
         args.particles,
         args.levels,
-        CouplingProfile.from_mhz([args.J] * n_bonds),
+        CouplingProfile.from_mhz([args.J] * (args.sites - 1)),
         AnharmonicityProfile.from_mhz([args.U] * args.sites),
     )
     lo = mhz_from_omega(report.eigenvalues[0])

@@ -48,7 +48,6 @@ SCHEMA = {
         "drive_forward_mhz",
         "drive_backward_mhz",
         "drive_pattern_mhz",
-        "drive_substep_ns",
         "sector",
     },
     "sampling": {"dt_ns", "stroboscopic"},
@@ -203,7 +202,6 @@ class ExperimentConfig:
     drive_forward_mhz: float | None
     drive_backward_mhz: float | None
     drive_pattern_mhz: tuple | None
-    drive_substep_ns: float | None
     sector: str | int
     dt_ns: float
     stroboscopic: bool
@@ -316,7 +314,6 @@ def _validate(entries: dict, source_text: str = "") -> ExperimentConfig:
     drive_fwd = _want_float(entries, "drive_forward_mhz")
     drive_bwd = _want_float(entries, "drive_backward_mhz")
     drive_pattern = _float_list(entries, "drive_pattern_mhz", sites)
-    drive_substep = _want_float(entries, "drive_substep_ns")
     driven = drive_kind != "none" or drive_pattern is not None
     if driven:
         if drive_freq is None or not drive_freq > 0:
@@ -415,7 +412,6 @@ def _validate(entries: dict, source_text: str = "") -> ExperimentConfig:
         drive_forward_mhz=drive_fwd,
         drive_backward_mhz=drive_bwd,
         drive_pattern_mhz=None if drive_pattern is None else tuple(drive_pattern),
-        drive_substep_ns=drive_substep,
         sector=sector,
         dt_ns=dt_ns,
         stroboscopic=strobo,

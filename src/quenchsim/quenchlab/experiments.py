@@ -175,7 +175,6 @@ def run_experiment(config: ExperimentConfig):
         segments,
         sample_dt_ns=None if config.stroboscopic else config.dt_ns,
         stroboscopic=config.stroboscopic,
-        drive_substep_ns=config.drive_substep_ns,
     )
     observe = _observer(config, psi0)
     if config.mode != "one-direction-compare":
@@ -208,15 +207,21 @@ class SweepSpec:
     """Cartesian parameter sweep over config keys.
 
     ``axes`` maps config keys to value lists (strings, parsed per key by
-    the config schema). Points run on a bounded worker pool; failures are
-    collected rather than aborting the sweep unless fail_fast is set.
+    the config schema). Points run on a bounded worker pool of
+    ``parallelism`` processes (at least 1); a failing point is reported in
+    its SweepResult rather than aborting the sweep.
     """
 
     base: ExperimentConfig
     axes: dict = field(default_factory=dict)
     parallelism: int = 1
-    fail_fast: bool = False
     output_dir: str | None = None
+
+    def __post_init__(self):
+        if self.parallelism < 1:
+            raise ConfigError(
+                f"parallelism must be at least 1, got {self.parallelism}", key="parallelism"
+            )
 
     @classmethod
     def from_config(cls, config: ExperimentConfig, extra_axes=None, parallelism=None,
@@ -227,7 +232,7 @@ class SweepSpec:
         return cls(
             base=config,
             axes=axes,
-            parallelism=parallelism or config.parallelism,
+            parallelism=config.parallelism if parallelism is None else parallelism,
             output_dir=output_dir,
         )
 
@@ -261,6 +266,15 @@ def _run_point(base: ExperimentConfig, params: dict, out_path: str) -> str:
     return write_output(config, run_experiment(config), out_path)
 
 
+def _result(params: dict, path: str, run) -> SweepResult:
+    """Call run() and report the point as written, or with its error."""
+    try:
+        run()
+    except Exception as exc:  # noqa: BLE001 - reported per point
+        return SweepResult(params, None, error=str(exc))
+    return SweepResult(params, path)
+
+
 def run_sweep(spec: SweepSpec) -> list:
     """Run every grid point, writing one output file per point.
 
@@ -284,25 +298,9 @@ def run_sweep(spec: SweepSpec) -> list:
         (params, os.path.join(out_dir, _point_name(stem, params, base.output_format)))
         for params in grid
     ]
-    results: list[SweepResult] = []
-    if spec.parallelism <= 1 or len(jobs) <= 1:
-        for params, path in jobs:
-            try:
-                _run_point(base, params, path)
-                results.append(SweepResult(params, path))
-            except Exception as exc:  # noqa: BLE001 - reported per point
-                if spec.fail_fast:
-                    raise
-                results.append(SweepResult(params, None, error=str(exc)))
-    else:
-        with ProcessPoolExecutor(max_workers=spec.parallelism) as pool:
-            futures = [pool.submit(_run_point, base, params, path) for params, path in jobs]
-            for (params, path), fut in zip(jobs, futures):
-                try:
-                    fut.result()
-                    results.append(SweepResult(params, path))
-                except Exception as exc:  # noqa: BLE001
-                    if spec.fail_fast:
-                        raise
-                    results.append(SweepResult(params, None, error=str(exc)))
-    return results
+    if spec.parallelism == 1 or len(jobs) <= 1:
+        return [_result(params, path, lambda: _run_point(base, params, path))
+                for params, path in jobs]
+    with ProcessPoolExecutor(max_workers=spec.parallelism) as pool:
+        futures = [pool.submit(_run_point, base, params, path) for params, path in jobs]
+        return [_result(params, path, fut.result) for (params, path), fut in zip(jobs, futures)]

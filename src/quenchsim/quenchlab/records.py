@@ -18,15 +18,6 @@ from ..operators import mhz_from_omega
 __all__ = ["record_columns", "write_records", "read_records", "write_spectrum", "write_result"]
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    value = float(value)
-    if value == 0.0:
-        return "0"  # avoid the '-0' artifact
-    return f"{value:.12g}"
-
-
 def record_columns(sites: int) -> list:
     cols = ["time_ns", "fidelity", "P1_total", "P2_total"]
     cols += [f"P1_q{j}" for j in range(1, sites + 1)]
@@ -65,6 +56,43 @@ def _infer_sites(records) -> int:
     raise ValueError("cannot infer the site count; pass sites= explicitly")
 
 
+def _cell(value, format: str) -> str:
+    """One table cell in the given format.
+
+    None is an empty field (CSV) or null, a bool 1/0 or true/false, an int
+    is written as it is, and any other number with 12 significant digits.
+    """
+    if value is None:
+        return "" if format == "csv" else "null"
+    if isinstance(value, bool):
+        return str(int(value)) if format == "csv" else str(value).lower()
+    if isinstance(value, int):
+        return str(value)
+    value = float(value)
+    if value == 0.0:
+        return "0"  # avoid the '-0' artifact
+    return f"{value:.12g}"
+
+
+def _write_table(path, format: str, cols: list, rows: list) -> None:
+    """Write rows as a CSV table or as a JSON list of one object per row."""
+    if format not in ("csv", "json"):
+        raise ValueError(f"format must be csv or json, got {format!r}")
+    if any(len(row) != len(cols) for row in rows):
+        raise ValueError("row does not fit the column schema")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if format == "csv":
+            fh.write(",".join(cols) + "\n")
+            for row in rows:
+                fh.write(",".join(_cell(v, format) for v in row) + "\n")
+        else:
+            fh.write("[\n")
+            for i, row in enumerate(rows):
+                fields = ", ".join(f'"{c}": {_cell(v, format)}' for c, v in zip(cols, row))
+                fh.write("  {" + fields + ("},\n" if i < len(rows) - 1 else "}\n"))
+            fh.write("]\n")
+
+
 def write_records(records, path, format: str = "csv", sites: int | None = None) -> None:
     """Write observable records with the documented column schema.
 
@@ -72,29 +100,10 @@ def write_records(records, path, format: str = "csv", sites: int | None = None) 
     may be omitted when any record carries per-site data.
     """
     records = list(records)
-    if format not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {format!r}")
     if sites is None:
         sites = _infer_sites(records)
-    cols = record_columns(sites)
     rows = [_row_values(rec, sites) for rec in records]
-    for row in rows:
-        if len(row) != len(cols):
-            raise ValueError("record does not fit the column schema")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if format == "csv":
-            fh.write(",".join(cols) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-        else:
-            fh.write("[\n")
-            for i, row in enumerate(rows):
-                fields = ", ".join(
-                    f'"{c}": ' + ("null" if v is None else _fmt(v))
-                    for c, v in zip(cols, row)
-                )
-                fh.write("  {" + fields + ("},\n" if i < len(rows) - 1 else "}\n"))
-            fh.write("]\n")
+    _write_table(path, format, record_columns(sites), rows)
 
 
 def read_records(path) -> list:
@@ -109,28 +118,13 @@ def write_spectrum(report: SpectrumReport, path, format: str = "csv") -> None:
     Columns: index, energy as value/2pi in MHz, anharmonicity expectation,
     band label, ambiguity flag.
     """
-    if format not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {format!r}")
     cols = ["index", "energy_mhz", "A", "band", "ambiguous"]
     rows = [
         (i, mhz_from_omega(report.eigenvalues[i]), report.anharmonicity[i],
          int(report.bands[i]), bool(report.ambiguous[i]))
         for i in range(report.dim)
     ]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if format == "csv":
-            fh.write(",".join(cols) + "\n")
-            for i, e, a, b, amb in rows:
-                fh.write(f"{i},{_fmt(e)},{_fmt(a)},{b},{int(amb)}\n")
-        else:
-            fh.write("[\n")
-            for n, (i, e, a, b, amb) in enumerate(rows):
-                fh.write(
-                    f'  {{"index": {i}, "energy_mhz": {_fmt(e)}, "A": {_fmt(a)}, '
-                    f'"band": {b}, "ambiguous": {str(amb).lower()}}}'
-                    + (",\n" if n < len(rows) - 1 else "\n")
-                )
-            fh.write("]\n")
+    _write_table(path, format, cols, rows)
 
 
 def write_result(result, path, format: str = "csv", sites: int | None = None) -> str:

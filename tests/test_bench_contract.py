@@ -1,0 +1,70 @@
+"""What the benchmark harness in bench/ relies on in the package.
+
+bench/tracer.py wraps entry points named in its SPANS table and reads some
+of their arguments by name; bench/child.py replaces two bindings of
+``quenchlab.experiments`` and calls the observer with ``cross=``. A rename
+or deletion in the package breaks only the traced benchmark runs, so these
+tests catch it here. bench/ is only read.
+"""
+
+import importlib.util
+import inspect
+import os
+
+import pytest
+
+from quenchsim import build_basis, parse_product_state
+from quenchsim.quenchlab import experiments, load_config
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", os.path.join(BENCH, "tracer.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SPANS = _tracer().SPANS
+TARGETS = [(span, module, attr) for span, targets in SPANS.items() for module, attr in targets]
+
+
+def _resolve(module: str, attr: str):
+    owner = importlib.import_module(module)
+    if "." in attr:
+        cls_name, attr = attr.split(".")
+        # the tracer patches methods on the class that defines them
+        return getattr(owner, cls_name).__dict__[attr]
+    return getattr(owner, attr)
+
+
+@pytest.mark.parametrize("span,module,attr", TARGETS, ids=[f"{m}:{a}" for _, m, a in TARGETS])
+def test_span_target_resolves(span, module, attr):
+    assert callable(_resolve(module, attr))
+
+
+def test_traced_argument_names_exist():
+    for module, attr in SPANS["propagator.evolve"]:
+        params = inspect.signature(_resolve(module, attr)).parameters
+        assert "dt_ns" in params or {"t0_ns", "t1_ns"} <= set(params), attr
+    for module, attr in SPANS["quenchlab.records.write"]:
+        assert "path" in inspect.signature(_resolve(module, attr)).parameters, attr
+
+
+def test_child_hooks_exist():
+    assert callable(experiments.sector_spectrum)
+    config = load_config("""
+[lattice]
+sites = 2
+levels = 2
+[state]
+initial = 01
+[protocol]
+mode = single-run
+duration_ns = 1
+""")
+    psi0 = parse_product_state("01", build_basis(2, 2))
+    observe = experiments._observer(config, psi0)
+    assert observe(0.0, psi0).fidelity == pytest.approx(1.0)
+    assert observe(0.0, psi0, cross=0.25).fidelity == 0.25

@@ -260,7 +260,7 @@ class TestReverseOf:
         seg = make_segment(100.0, 16.0, 240.0, 4, Omega_mhz=16.0)
         rev = reverse_of(seg)
         assert rev.coupling_sign == -1 and rev.transverse_sign == -1
-        assert rev.include_anharmonicity and rev.duration_ns == seg.duration_ns
+        assert rev.duration_ns == seg.duration_ns
 
     def test_involution(self):
         seg = make_segment(50.0, 16.0, 240.0, 4)

@@ -21,6 +21,7 @@ from quenchsim.quenchlab import (
     run_sweep,
     write_output,
     write_records,
+    write_spectrum,
 )
 from quenchsim.quenchlab.cli import main
 from quenchsim.quenchlab.experiments import _pick_sector
@@ -420,6 +421,30 @@ class TestRecords:
         assert os.path.dirname(path) == str(tmp_path)
         assert os.path.exists(path)
 
+    def test_spectrum_writer_exact_bytes(self, tmp_path):
+        from quenchsim import omega_from_mhz
+
+        report = SpectrumReport(
+            eigenvalues=np.array([omega_from_mhz(-12.5), omega_from_mhz(240.125)]),
+            anharmonicity=np.array([0.0, -1.5]),
+            bands=np.array([0, -1]),
+            attainable=np.array([-1.0, 0.0]),
+            ambiguous=np.array([True, False]),
+        )
+        write_spectrum(report, tmp_path / "s.csv", "csv")
+        write_spectrum(report, tmp_path / "s.json", "json")
+        assert (tmp_path / "s.csv").read_text() == (
+            "index,energy_mhz,A,band,ambiguous\n"
+            "0,-12.5,0,0,1\n"
+            "1,240.125,-1.5,-1,0\n"
+        )
+        assert (tmp_path / "s.json").read_text() == (
+            "[\n"
+            '  {"index": 0, "energy_mhz": -12.5, "A": 0, "band": 0, "ambiguous": true},\n'
+            '  {"index": 1, "energy_mhz": 240.125, "A": -1.5, "band": -1, "ambiguous": false}\n'
+            "]\n"
+        )
+
 
 class TestSweep:
     BASE = """
@@ -557,6 +582,32 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0] == "index,energy_mhz,A,band,ambiguous"
         assert len(lines) == 1 + 10  # C(5,2) = 10 states
+
+    def test_spectrum_cli_single_site(self, capsys):
+        rc = main(["spectrum", "-L", "1", "-N", "1", "-K", "3", "--J", "8", "--U", "240"])
+        assert rc == 0
+        assert "dimension 1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_sweep_jobs_below_one_exit_2(self, tmp_path, capsys, jobs):
+        with pytest.raises(ConfigError, match="parallelism"):
+            SweepSpec.from_config(load_config(TestSweep.BASE), parallelism=jobs)
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(TestSweep.BASE)
+        rc = main(["sweep", "-c", str(cfg_path), "-j", str(jobs), "-o", str(tmp_path)])
+        assert rc == 2
+        assert "parallelism" in capsys.readouterr().err
+        assert not list(tmp_path.glob("point*"))
+
+    def test_drive_substep_key_exit_2(self, tmp_path, capsys):
+        text = MINIMAL.replace("duration_ns = 20", "duration_ns = 20\ndrive_substep_ns = 1e-9")
+        with pytest.raises(ConfigError, match="drive_substep_ns"):
+            load_config(text)
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(text)
+        assert main(["run", "-c", str(cfg_path), "-o", str(tmp_path / "o.csv")]) == 2
+        assert "drive_substep_ns" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
 
 class TestRangeSector:
