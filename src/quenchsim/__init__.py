@@ -38,7 +38,6 @@ from .propagator import (
     NumericsError,
     Protocol,
     Segment,
-    Trajectory,
     default_substep_ns,
     evolve_driven,
     evolve_static,

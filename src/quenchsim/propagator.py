@@ -9,17 +9,17 @@ Sinusoidally driven Hamiltonians are integrated with fourth-order
 commutator-free exponential substeps (two Gauss nodes per substep), each
 exponential going through the same Lanczos core. Multi-segment protocols
 (forward plus sign-flipped backward evolution, with or without drive) are
-executed by ``run_protocol``: every driven segment restarts its drive phase
-at its own start and is integrated in substeps of ``default_substep_ns``
-(T/64), and every exponential uses ``DEFAULT_TOL`` and
-``DEFAULT_KRYLOV_DIM``.
+executed by ``run_protocol``, a generator of ``(t, state)`` pairs, one per
+sample time: every driven segment restarts its drive phase at its own start
+and is integrated in substeps of ``default_substep_ns`` (T/64), and every
+exponential uses ``DEFAULT_TOL`` and ``DEFAULT_KRYLOV_DIM``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Iterator
 
 import numpy as np
 import scipy.linalg as sla
@@ -47,7 +47,6 @@ __all__ = [
     "evolve_driven",
     "Segment",
     "Protocol",
-    "Trajectory",
     "reverse_of",
     "run_protocol",
     "default_substep_ns",
@@ -57,6 +56,7 @@ DEFAULT_TOL = 1e-10
 DEFAULT_KRYLOV_DIM = 30
 SUBSTEPS_PER_PERIOD = 64
 MAX_SAMPLES = 1_000_000
+MAX_SUBSTEPS = 1_000_000
 
 
 class NumericsError(RuntimeError):
@@ -331,14 +331,14 @@ class Protocol:
 
     Either uniform sampling every ``sample_dt_ns`` or stroboscopic sampling
     at integer multiples of the drive period. Segment boundaries are always
-    sampled. A schedule of more than ``MAX_SAMPLES`` samples raises
-    ResourceLimitError before any sample time is made.
+    sampled; ``run_protocol`` yields one state per entry of
+    ``sample_times()``. A schedule of more than ``MAX_SAMPLES`` samples
+    raises ResourceLimitError before any sample time is made.
     """
 
     segments: tuple
     sample_dt_ns: float | None = None
     stroboscopic: bool = False
-    record_states: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
@@ -399,46 +399,33 @@ class Protocol:
         return np.asarray(out)
 
 
-@dataclass
-class Trajectory:
-    """Sampled times with optional retained states and observer records."""
-
-    times_ns: np.ndarray
-    records: list
-    states: list | None = None
-
-
 def default_substep_ns(drive: DriveSpec) -> float:
     """Integration substep of every driven segment in run_protocol: T/64."""
     return drive.period_ns / SUBSTEPS_PER_PERIOD
 
 
-def run_protocol(
-    protocol: Protocol,
-    psi0: StateVector,
-    observer: Callable[[float, StateVector], object] | None = None,
-) -> Trajectory:
-    """Evolve through all segments, sampling on the protocol's schedule.
+def run_protocol(protocol: Protocol, psi0: StateVector) -> Iterator[tuple[float, StateVector]]:
+    """Evolve through all segments, yielding ``(t, state)`` at every sample.
 
-    The observer, if given, is called at every sample time with the current
-    state; its non-None return values are collected into the trajectory's
-    record list. States are retained only when the protocol asks for it.
+    The pairs follow ``protocol.sample_times()``; the first is ``(0.0, copy
+    of psi0)``. Every yielded state is a new object that later steps leave
+    unchanged, so callers may keep any of them. A schedule above
+    ``MAX_SAMPLES`` samples, or driven segments that need more than
+    ``MAX_SUBSTEPS`` CF4 substeps, raise ResourceLimitError when the first
+    pair is requested, before any propagation.
     """
     basis = psi0.basis
     times = protocol.sample_times()
-    records: list = []
-    states: list | None = [] if protocol.record_states else None
-
-    def emit(t: float, psi: StateVector) -> None:
-        if states is not None:
-            states.append(psi.copy())
-        if observer is not None:
-            rec = observer(t, psi)
-            if rec is not None:
-                records.append(rec)
-
+    substeps = sum(math.ceil(seg.duration_ns / default_substep_ns(seg.drive))
+                   for seg in protocol.segments
+                   if seg.drive is not None and seg.drive.is_active())
+    if substeps > MAX_SUBSTEPS:
+        raise ResourceLimitError(
+            f"the driven segments take {substeps} substeps of T/{SUBSTEPS_PER_PERIOD}, "
+            f"above the cap of {MAX_SUBSTEPS}"
+        )
     psi = psi0.copy()
-    emit(float(times[0]), psi)
+    yield float(times[0]), psi
     cursor = 0.0
     next_sample = 1
     for seg in protocol.segments:
@@ -458,7 +445,6 @@ def run_protocol(
                 # segment-relative times: each segment restarts its drive phase
                 psi = evolve_driven(H, D, seg.drive, psi, t_prev - seg_start,
                                     t_next - seg_start, default_substep_ns(seg.drive))
-            emit(t_next, psi)
+            yield t_next, psi
             t_prev = t_next
             next_sample += 1
-    return Trajectory(times_ns=times, records=records, states=states)

@@ -47,7 +47,6 @@ SCHEMA = {
         "drive_frequency_mhz",
         "drive_forward_mhz",
         "drive_backward_mhz",
-        "drive_pattern_mhz",
         "sector",
     },
     "sampling": {"dt_ns", "stroboscopic"},
@@ -55,7 +54,6 @@ SCHEMA = {
     "spectrum": {"particles"},
     "output": {"path", "format"},
     "sweep": {"parallelism"},  # plus axis_<key>, validated dynamically
-    "meta": {"comment"},
 }
 
 _KEY_SECTION = {k: s for s, keys in SCHEMA.items() for k in keys}
@@ -98,11 +96,10 @@ def _parse_document(text: str) -> dict:
             key in SCHEMA[section]
             or (section == "state" and key.startswith("amplitudes_q"))
             or (section == "sweep" and key.startswith("axis_"))
-            or key == "comment"
         )
         if not ok:
             raise ConfigError(f"unknown key in [{section}]", line=lineno, key=key)
-        if key in entries and key != "comment":
+        if key in entries:
             raise ConfigError("duplicate key", line=lineno, key=key)
         entries[key] = (value, lineno)
     return entries
@@ -201,8 +198,7 @@ class ExperimentConfig:
     drive_frequency_mhz: float | None
     drive_forward_mhz: float | None
     drive_backward_mhz: float | None
-    drive_pattern_mhz: tuple | None
-    sector: str | int
+    sector: str
     dt_ns: float
     stroboscopic: bool
     observables: tuple
@@ -211,7 +207,6 @@ class ExperimentConfig:
     output_format: str
     sweep_axes: dict = field(default_factory=dict)
     parallelism: int = 1
-    comment: str = ""
     raw: dict = field(default_factory=dict)
     source_text: str = ""
 
@@ -313,32 +308,16 @@ def _validate(entries: dict, source_text: str = "") -> ExperimentConfig:
     drive_freq = _want_float(entries, "drive_frequency_mhz")
     drive_fwd = _want_float(entries, "drive_forward_mhz")
     drive_bwd = _want_float(entries, "drive_backward_mhz")
-    drive_pattern = _float_list(entries, "drive_pattern_mhz", sites)
-    driven = drive_kind != "none" or drive_pattern is not None
+    driven = drive_kind != "none"
     if driven:
         if drive_freq is None or not drive_freq > 0:
             raise ConfigError("driven protocols need drive_frequency_mhz > 0",
                               key="drive_frequency_mhz")
-        if drive_pattern is None and drive_fwd is None:
+        if drive_fwd is None:
             raise ConfigError("staggered-odd drive needs drive_forward_mhz",
                               key="drive_forward_mhz")
 
-    sector_raw = entries.get("sector", ("auto", None))[0]
-    sector: str | int
-    if sector_raw in ("auto", "full"):
-        sector = sector_raw
-    else:
-        try:
-            sector = int(sector_raw)
-        except ValueError:
-            raise ConfigError(
-                f"sector must be auto, full or an integer; got {sector_raw!r}", key="sector"
-            ) from None
-        if not 0 <= sector <= sites * (levels - 1):
-            raise ConfigError(f"sector {sector} outside the chain's range", key="sector")
-        if any(v != 0 for v in transverse):
-            raise ConfigError("a transverse field breaks number conservation; "
-                              "a fixed sector cannot be used", key="sector")
+    sector = _want_choice(entries, "sector", ("auto", "full"), "auto")
 
     dt_ns = _want_float(entries, "dt_ns", 1.0)
     if not dt_ns > 0:
@@ -368,6 +347,10 @@ def _validate(entries: dict, source_text: str = "") -> ExperimentConfig:
     if mode in ("single-run", "one-direction-compare") and duration is None:
         raise ConfigError(f"{mode} mode needs duration_ns (or assumed_duration_ns)",
                           key="duration_ns")
+    if mode == "time-reversal" and driven and drive_bwd is None:
+        raise ConfigError(
+            "driven time reversal needs drive_backward_mhz", key="drive_backward_mhz"
+        )
     if mode == "one-direction-compare" and driven:
         raise ConfigError("one-direction-compare does not support a drive", key="drive")
     if mode == "spectrum":
@@ -394,8 +377,6 @@ def _validate(entries: dict, source_text: str = "") -> ExperimentConfig:
     if parallelism < 1:
         raise ConfigError("parallelism must be at least 1", key="parallelism")
 
-    comment = entries.get("comment", ("", None))[0]
-
     return ExperimentConfig(
         sites=sites,
         levels=levels,
@@ -411,7 +392,6 @@ def _validate(entries: dict, source_text: str = "") -> ExperimentConfig:
         drive_frequency_mhz=drive_freq,
         drive_forward_mhz=drive_fwd,
         drive_backward_mhz=drive_bwd,
-        drive_pattern_mhz=None if drive_pattern is None else tuple(drive_pattern),
         sector=sector,
         dt_ns=dt_ns,
         stroboscopic=strobo,
@@ -421,7 +401,6 @@ def _validate(entries: dict, source_text: str = "") -> ExperimentConfig:
         output_format=_want_choice(entries, "format", FORMATS, "csv"),
         sweep_axes=axes,
         parallelism=parallelism,
-        comment=comment,
         raw=dict(entries),
         source_text=source_text,
     )

@@ -6,7 +6,7 @@ import itertools
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from ..analysis import (
     sector_spectrum,
     site_populations,
 )
-from ..fockspace import build_basis, build_product_state, embed_state, parse_product_state
+from ..fockspace import build_basis, build_product_state, parse_product_state
 from ..operators import AnharmonicityProfile, CouplingProfile, DriveSpec, TransverseProfile
 from ..propagator import Protocol, Segment, reverse_of, run_protocol
 from .config import ConfigError, ExperimentConfig
@@ -40,22 +40,13 @@ def _profiles(config: ExperimentConfig):
 
 def _drive_specs(config: ExperimentConfig):
     """(forward drive, backward drive) or (None, None) when undriven."""
-    if config.drive_kind == "none" and config.drive_pattern_mhz is None:
+    if config.drive_kind == "none":
         return None, None
     nu = config.drive_frequency_mhz
-    if config.drive_pattern_mhz is not None:
-        fwd = DriveSpec.from_mhz(config.drive_pattern_mhz, nu)
-        bwd = None
-        if config.drive_backward_mhz is not None and config.drive_forward_mhz:
-            ratio = config.drive_backward_mhz / config.drive_forward_mhz
-            bwd = DriveSpec.from_mhz(
-                [e * ratio for e in config.drive_pattern_mhz], nu
-            )
-    else:
-        fwd = DriveSpec.staggered_odd(config.sites, config.drive_forward_mhz, nu)
-        bwd = None
-        if config.drive_backward_mhz is not None:
-            bwd = DriveSpec.staggered_odd(config.sites, config.drive_backward_mhz, nu)
+    fwd = DriveSpec.staggered_odd(config.sites, config.drive_forward_mhz, nu)
+    bwd = None
+    if config.drive_backward_mhz is not None:
+        bwd = DriveSpec.staggered_odd(config.sites, config.drive_backward_mhz, nu)
     return fwd, bwd
 
 
@@ -82,21 +73,10 @@ def _pick_sector(config: ExperimentConfig) -> int | range | None:
     On ``auto`` a number-conserving run evolves on the totals its initial
     state spans; a transverse field needs the full basis.
     """
-    omega_on = any(v != 0 for v in config.transverse_mhz)
-    if config.sector == "full":
+    if config.sector == "full" or any(v != 0 for v in config.transverse_mhz):
         return None
     lo, hi = _number_range(config)
-    if config.sector == "auto":
-        if omega_on:
-            return None
-        return lo if lo == hi else range(lo, hi + 1)
-    if omega_on:
-        raise ConfigError("a transverse field needs the full basis", key="sector")
-    if lo == hi != config.sector:
-        raise ConfigError(
-            f"initial state has N={lo}, sector asks for {config.sector}", key="sector"
-        )
-    return int(config.sector)
+    return lo if lo == hi else range(lo, hi + 1)
 
 
 def _initial_state(config: ExperimentConfig, basis):
@@ -117,15 +97,15 @@ def _observer(config: ExperimentConfig, psi0=None):
                 rec.fidelity = cross
             elif psi0 is not None:
                 rec.fidelity = fidelity(psi0, psi)
+        if "populations" in want or "pauli" in want:
+            pops = site_populations(psi)
         if "populations" in want:
-            rec.populations = site_populations(psi)
+            rec.populations = pops
         if "pauli" in want:
             rec.pauli_x = np.array(
                 [pauli_expectation(psi, j, "x") for j in range(config.sites)]
             )
-            rec.pauli_z = np.array(
-                [pauli_expectation(psi, j, "z") for j in range(config.sites)]
-            )
+            rec.pauli_z = pops[:, 0] - pops[:, 1]
         if "entropy" in want and config.sites > 1:
             rec.entropy = half_chain_entropy(psi, cut)
         if "anharmonicity" in want:
@@ -163,10 +143,6 @@ def run_experiment(config: ExperimentConfig):
     drive_f, drive_b = _drive_specs(config)
 
     if config.mode == "time-reversal":
-        if drive_f is not None and drive_b is None:
-            raise ConfigError(
-                "driven time reversal needs drive_backward_mhz", key="drive_backward_mhz"
-            )
         seg_f = _segment(config.forward_ns, coupling, anh, trans, drive_f)
         segments = (seg_f, reverse_of(seg_f, drive_override=drive_b))
     else:
@@ -178,19 +154,17 @@ def run_experiment(config: ExperimentConfig):
     )
     observe = _observer(config, psi0)
     if config.mode != "one-direction-compare":
-        return run_protocol(protocol, psi0, observer=observe).records
+        return [observe(t, psi) for t, psi in run_protocol(protocol, psi0)]
 
     # one-direction-compare: the same protocol on the two-level basis, where
     # the on-site term U/2 n(n-1) vanishes, gives the hopping-model reference
     # state at every sample; the K-level run records its cross fidelity.
     basis2 = build_basis(config.sites, 2, sector=sector)
-    ref = run_protocol(replace(protocol, record_states=True), _initial_state(config, basis2))
-    refs = iter(ref.states)
-
-    def compare(t, psi):
-        return observe(t, psi, cross=fidelity(embed_state(next(refs), basis), psi))
-
-    return run_protocol(protocol, psi0, observer=compare).records
+    reference = run_protocol(protocol, _initial_state(config, basis2))
+    return [
+        observe(t, psi, cross=fidelity(psi2, psi))
+        for (t, psi), (_, psi2) in zip(run_protocol(protocol, psi0), reference, strict=True)
+    ]
 
 
 def write_output(config: ExperimentConfig, result, path=None) -> str:

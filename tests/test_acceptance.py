@@ -196,16 +196,14 @@ def test_09_two_level_and_single_particle_exactness():
     cp, up = table_profiles(16.0)
     seg = Segment(120.0, cp, up, transverse=TransverseProfile.from_mhz([9.0] * L))
     psi0 = parse_product_state(PSI["psi4"], b2)
-    traj = run_protocol(Protocol((seg, reverse_of(seg))), psi0,
-                        observer=lambda t, p: fidelity(psi0, p))
-    f_two_level = traj.records[-1]
+    *_, (_, p) = run_protocol(Protocol((seg, reverse_of(seg))), psi0)
+    f_two_level = fidelity(psi0, p)
     # any single-particle three-level reversal with full interaction strength
     b1 = build_basis(L, 3, sector=1)
     seg1 = Segment(150.0, cp, up)
     psi1 = parse_product_state("0001000000", b1)
-    traj1 = run_protocol(Protocol((seg1, reverse_of(seg1))), psi1,
-                         observer=lambda t, p: fidelity(psi1, p))
-    f_single = traj1.records[-1]
+    *_, (_, p1) = run_protocol(Protocol((seg1, reverse_of(seg1))), psi1)
+    f_single = fidelity(psi1, p1)
     ok = abs(f_two_level - 1.0) <= 1e-8 and abs(f_single - 1.0) <= 1e-8
     report(9, "two-level and single-particle reversals are exact", ok,
            f"1-F = {1 - f_two_level:.2e}, {1 - f_single:.2e}")
@@ -220,9 +218,8 @@ def test_10_picture_equivalence():
         tokens = "".join("1" if j < n else "0" for j in range(l))
         psi0 = parse_product_state(tokens, basis)
         seg = Segment(t_ns, cp, up)
-        traj = run_protocol(Protocol((seg, reverse_of(seg))), psi0,
-                            observer=lambda t, p: fidelity(psi0, p))
-        echo = traj.records[-1]
+        *_, (_, p) = run_protocol(Protocol((seg, reverse_of(seg))), psi0)
+        echo = fidelity(psi0, p)
         H0 = build_hopping(basis, cp)
         HU = build_onsite_anharmonicity(basis, up)
         overlap = fidelity(
@@ -247,17 +244,16 @@ def test_11_oracle_equivalence():
     om = TransverseProfile.from_mhz([9.0, 7.0, 5.0, 3.0])
     seg = Segment(90.0, cp, up, transverse=om)
     psi0 = parse_product_state("+10+", basis)
-    traj = run_protocol(Protocol((seg, reverse_of(seg)), sample_dt_ns=30.0,
-                                 record_states=True), psi0)
+    traj = list(run_protocol(Protocol((seg, reverse_of(seg)), sample_dt_ns=30.0), psi0))
     Hf = seg.static_hamiltonian(basis).dense()
     Hb = reverse_of(seg).static_hamiltonian(basis).dense()
     v = psi0.amplitudes
     worst = 0.0
-    for i, t in enumerate(traj.times_ns):
+    for i, (t, state) in enumerate(traj):
         if i:
-            dt = traj.times_ns[i] - traj.times_ns[i - 1]
+            dt = t - traj[i - 1][0]
             v = dense_propagate(Hf if t <= 90.0 + 1e-9 else Hb, v, dt)
-        worst = max(worst, float(np.linalg.norm(v - traj.states[i].amplitudes)))
+        worst = max(worst, float(np.linalg.norm(v - state.amplitudes)))
 
     # driven path against dense stepping on the same substep grid
     basis3 = build_basis(3, 3)
@@ -337,10 +333,10 @@ def test_13_floquet_effective_model_strict():
     psi0 = parse_product_state(PSI["psi5"], basis)
     seg = Segment(10 * drive.period_ns, cp, up, drive=drive)
     proto = Protocol((seg,), stroboscopic=True)
-    traj = run_protocol(proto, psi0, observer=lambda t, p: (t, p))
+    traj = list(run_protocol(proto, psi0))
     jeff = effective_coupling(10.8, 213.6, 120.0)
     Heff = build_hopping(basis, CouplingProfile.from_mhz([jeff] * (L - 1)))
-    fids = [fidelity(evolve_static(Heff, psi0, t), p) for t, p in traj.records[1:]]
+    fids = [fidelity(evolve_static(Heff, psi0, t), p) for t, p in traj[1:]]
     worst = min(fids)
     ok = worst >= 0.99
     report(13, "staggered drive tracks the effective-coupling model for ten periods",

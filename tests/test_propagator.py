@@ -278,10 +278,11 @@ class TestProtocol:
     def test_empty_protocol_single_sample(self):
         basis = build_basis(2, 2)
         psi0 = parse_product_state("01", basis)
-        traj = run_protocol(Protocol(()), psi0, observer=lambda t, p: (t, p.copy()))
-        assert list(traj.times_ns) == [0.0]
-        t, p = traj.records[0]
+        pairs = list(run_protocol(Protocol(()), psi0))
+        assert len(pairs) == 1
+        t, p = pairs[0]
         assert t == 0.0
+        assert p is not psi0
         np.testing.assert_array_equal(p.amplitudes, psi0.amplitudes)
 
     def test_two_level_reversal_is_exact(self):
@@ -290,8 +291,8 @@ class TestProtocol:
         psi0 = parse_product_state("+01+", basis)
         seg = make_segment(80.0, 16.0, 240.0, L, Omega_mhz=9.0)
         proto = Protocol((seg, reverse_of(seg)), sample_dt_ns=20.0)
-        traj = run_protocol(proto, psi0, observer=lambda t, p: fidelity(psi0, p))
-        assert traj.records[-1] == pytest.approx(1.0, abs=1e-8)
+        fids = [fidelity(psi0, p) for _, p in run_protocol(proto, psi0)]
+        assert fids[-1] == pytest.approx(1.0, abs=1e-8)
 
     def test_single_particle_reversal_is_exact_with_interaction(self):
         L = 5
@@ -299,8 +300,8 @@ class TestProtocol:
         psi0 = parse_product_state("00100", basis)
         seg = make_segment(120.0, 16.0, 240.0, L)
         proto = Protocol((seg, reverse_of(seg)))
-        traj = run_protocol(proto, psi0, observer=lambda t, p: fidelity(psi0, p))
-        assert traj.records[-1] == pytest.approx(1.0, abs=1e-8)
+        fids = [fidelity(psi0, p) for _, p in run_protocol(proto, psi0)]
+        assert fids[-1] == pytest.approx(1.0, abs=1e-8)
 
     def test_loschmidt_equals_two_forward_overlap(self):
         L, K = 3, 3
@@ -310,9 +311,8 @@ class TestProtocol:
         psi0 = parse_product_state("110", basis)
         t = 93.0
         seg = Segment(t, cp, up)
-        traj = run_protocol(Protocol((seg, reverse_of(seg))), psi0,
-                            observer=lambda tt, p: fidelity(psi0, p))
-        echo = traj.records[-1]
+        *_, (_, p) = run_protocol(Protocol((seg, reverse_of(seg))), psi0)
+        echo = fidelity(psi0, p)
         H0 = build_hopping(basis, cp)
         HU = build_onsite_anharmonicity(basis, up)
         f = fidelity(evolve_static(H0 + HU, psi0, t), evolve_static(H0 + (-1.0) * HU, psi0, t))
@@ -338,14 +338,31 @@ class TestProtocol:
         with pytest.raises(ValueError):
             Protocol((seg,), stroboscopic=True)
 
-    def test_record_states(self):
+    def test_one_unit_state_per_sample_time(self):
         basis = build_basis(2, 2)
         psi0 = parse_product_state("01", basis)
         seg = make_segment(10.0, 10.0, 0.0, 2)
-        traj = run_protocol(Protocol((seg,), sample_dt_ns=5.0, record_states=True), psi0)
-        assert len(traj.states) == len(traj.times_ns)
-        for st in traj.states:
+        proto = Protocol((seg,), sample_dt_ns=5.0)
+        pairs = list(run_protocol(proto, psi0))
+        np.testing.assert_array_equal([t for t, _ in pairs], proto.sample_times())
+        for _, st in pairs:
             assert abs(st.norm() - 1.0) < 1e-8
+
+    def test_kept_states_match_step_by_step_chain(self):
+        # every yielded state must stay as it was yielded while the run goes on
+        L = 3
+        basis = build_basis(L, 3)
+        psi0 = parse_product_state("+10", basis)
+        seg = make_segment(12.0, 16.0, 240.0, L, Omega_mhz=9.0)
+        proto = Protocol((seg, reverse_of(seg)), sample_dt_ns=1.5)
+        kept = list(run_protocol(proto, psi0))
+        assert len(kept) == proto.sample_times().size
+        psi, t_prev = psi0, 0.0
+        for t, state in kept:
+            H = (seg if t <= seg.duration_ns + 1e-9 else reverse_of(seg)).static_hamiltonian(basis)
+            psi = evolve_static(H, psi, t - t_prev)
+            t_prev = t
+            assert np.abs(state.amplitudes - psi.amplitudes).max() < 1e-12
 
     def test_number_conservation_without_field(self):
         L = 4
@@ -353,9 +370,8 @@ class TestProtocol:
         psi0 = parse_product_state("0110", basis)
         seg = make_segment(300.0, 16.0, 240.0, L)
         N = total_number(basis)
-        vals = []
-        traj = run_protocol(Protocol((seg,), sample_dt_ns=50.0), psi0,
-                            observer=lambda t, p: vals.append(N.expectation(p)))
+        proto = Protocol((seg,), sample_dt_ns=50.0)
+        vals = [N.expectation(p) for _, p in run_protocol(proto, psi0)]
         assert max(abs(v - vals[0]) for v in vals) < 1e-8
 
     def test_energy_conservation_static_segment(self):
@@ -364,7 +380,6 @@ class TestProtocol:
         seg = make_segment(300.0, 16.0, 240.0, L, Omega_mhz=12.0)
         H = seg.static_hamiltonian(basis)
         psi0 = parse_product_state("+11+", basis)
-        vals = []
-        run_protocol(Protocol((seg,), sample_dt_ns=50.0), psi0,
-                     observer=lambda t, p: vals.append(H.expectation(p)))
+        proto = Protocol((seg,), sample_dt_ns=50.0)
+        vals = [H.expectation(p) for _, p in run_protocol(proto, psi0)]
         assert max(abs(v - vals[0]) for v in vals) < 1e-8

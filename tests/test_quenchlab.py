@@ -142,6 +142,25 @@ duration_ns = 5
             load_config(text)
         assert err.value.key == key
 
+    def test_driven_reversal_needs_backward_amplitude(self):
+        text = MINIMAL.replace("mode = single-run\nduration_ns = 20",
+                               "mode = time-reversal\nforward_ns = 20\n"
+                               "drive = staggered-odd\ndrive_frequency_mhz = 120\n"
+                               "drive_forward_mhz = 213.6")
+        with pytest.raises(ConfigError, match="drive_backward_mhz") as err:
+            load_config(text)
+        assert err.value.key == "drive_backward_mhz"
+        load_config(text + "drive_backward_mhz = 400\n")
+
+    @pytest.mark.parametrize("extra,match", [
+        ("[protocol]\ndrive_pattern_mhz = 100, 0\ndrive_frequency_mhz = 120", "unknown key"),
+        ("[meta]\ncomment = note", "unknown section"),
+        ("[protocol]\nsector = 1", "auto, full"),
+    ], ids=["drive_pattern_mhz", "meta_comment", "integer_sector"])
+    def test_removed_values_rejected(self, extra, match):
+        with pytest.raises(ConfigError, match=match):
+            load_config(MINIMAL + "\n" + extra + "\n")
+
     def test_overrides_revalidate(self):
         cfg = load_config(MINIMAL)
         with pytest.raises(ConfigError):
@@ -232,6 +251,30 @@ dt_ns = 10
         assert rec.fidelity is None
         assert rec.populations.shape == (2, 2)
         assert rec.pauli_z.shape == (2,)
+
+    def test_pauli_z_matches_projected_pauli(self):
+        text = MINIMAL.replace("levels = 2", "levels = 3") + (
+            "\n[profiles]\ntransverse_mhz = 5\n[observables]\nobservables = pauli\n")
+        records = run_experiment(load_config(text))
+        assert records[-1].populations is None
+        from quenchsim import (
+            AnharmonicityProfile,
+            CouplingProfile,
+            TransverseProfile,
+            build_hopping,
+            build_onsite_anharmonicity,
+            build_transverse,
+            evolve_static,
+            pauli_expectation,
+        )
+
+        b = build_basis(2, 3)
+        H = (build_hopping(b, CouplingProfile.from_mhz([10.8]))
+             + build_onsite_anharmonicity(b, AnharmonicityProfile.from_mhz([212.0, 264.0]))
+             + build_transverse(b, TransverseProfile.from_mhz([5.0, 5.0])))
+        psi = evolve_static(H, parse_product_state("01", b), 20.0)
+        expected = [pauli_expectation(psi, j, "z") for j in range(2)]
+        np.testing.assert_allclose(records[-1].pauli_z, expected, atol=1e-10)
 
     def test_one_direction_compare_matches_manual(self):
         text = """
@@ -676,6 +719,17 @@ sector = full
         assert main(["run", "-c", str(cfg_path), "-o", str(tmp_path / "o.csv")]) == 3
         assert time.perf_counter() - started < 1.0
         assert "overflow" in capsys.readouterr().err
+
+    def test_unbounded_drive_substeps_cli_exit_3(self, tmp_path, capsys):
+        text = MINIMAL.replace("duration_ns = 20", "duration_ns = 100\ndrive = staggered-odd\n"
+                               "drive_frequency_mhz = 1e9\ndrive_forward_mhz = 200")
+        cfg_path = tmp_path / "fast.cfg"
+        cfg_path.write_text(text)
+        started = time.perf_counter()
+        assert main(["run", "-c", str(cfg_path), "-o", str(tmp_path / "o.csv")]) == 3
+        assert time.perf_counter() - started < 1.0
+        assert "substeps" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("mode,key", [("time-reversal", "forward_ns"),
                                           ("one-direction-compare", "duration_ns")])
