@@ -225,17 +225,16 @@ def sector_spectrum(
     K: int,
     coupling: CouplingProfile,
     anharmonicity: AnharmonicityProfile,
-    dense_cap: int = MAX_DENSE_DIM,
 ) -> SpectrumReport:
     """Full spectrum of hopping plus anharmonicity in one number sector.
 
-    Diagonalizes densely, so the sector dimension must stay at desk scale
-    (default cap 10^4); beyond that a ResourceLimitError is raised.
+    Diagonalizes densely, so the sector dimension must stay at desk scale:
+    above ``MAX_DENSE_DIM`` (10^4) a ResourceLimitError is raised.
     """
     basis = build_basis(L, K, sector=N)
-    if basis.dim > dense_cap:
+    if basis.dim > MAX_DENSE_DIM:
         raise ResourceLimitError(
-            f"sector dimension {basis.dim} exceeds dense cap {dense_cap}"
+            f"sector dimension {basis.dim} exceeds dense cap {MAX_DENSE_DIM}"
         )
     H = build_hopping(basis, coupling) + build_onsite_anharmonicity(basis, anharmonicity)
     dense = H.dense()

@@ -29,6 +29,7 @@ __all__ = [
     "FockBasis",
     "StateVector",
     "basis_dim",
+    "check_codes_fit",
     "build_basis",
     "parse_product_state",
     "build_product_state",
@@ -67,6 +68,16 @@ def basis_dim(L: int, K: int, lo: int, hi: int) -> int:
         )
 
     return below(hi + 1) - below(lo)
+
+
+def check_codes_fit(L: int, K: int) -> None:
+    """Raise ResourceLimitError when radix-K codes of L sites overflow int64.
+
+    Constant cost for any L, so callers can run it before anything sized
+    by L exists.
+    """
+    if L >= 64 or K**L > np.iinfo(np.int64).max:
+        raise ResourceLimitError(f"codes of {L} sites with {K} levels overflow int64")
 
 
 def _states(L: int, K: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -138,8 +149,7 @@ class FockBasis:
             lo = hi = int(sector)
         if not 0 <= lo <= hi <= n_max:
             raise ValueError(f"sector {sector!r} outside [0, {n_max}] for L={L}, K={K}")
-        if L >= 64 or K**L > np.iinfo(np.int64).max:
-            raise ResourceLimitError(f"codes of {L} sites with {K} levels overflow int64")
+        check_codes_fit(L, K)
         dim = basis_dim(L, K, lo, hi)
         if dim > MAX_BASIS_DIM:
             raise ResourceLimitError(

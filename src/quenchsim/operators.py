@@ -53,13 +53,9 @@ def mhz_from_omega(omega: float) -> float:
     return omega * 1e3 / _TWO_PI
 
 
-def _as_tuple(values, n: int, what: str) -> tuple:
-    vals = tuple(float(v) for v in np.atleast_1d(values))
-    if len(vals) == 1 and n > 1:
-        vals = vals * n
-    if len(vals) != n:
-        raise ValueError(f"{what} needs {n} values, got {len(vals)}")
-    return vals
+def _omegas(values_mhz) -> tuple:
+    """Angular frequencies in rad/ns of a value/2pi in MHz or a list of them."""
+    return tuple(omega_from_mhz(float(v)) for v in np.atleast_1d(values_mhz))
 
 
 @dataclass(frozen=True)
@@ -69,10 +65,8 @@ class CouplingProfile:
     values: tuple
 
     @classmethod
-    def from_mhz(cls, values, n_bonds: int | None = None) -> "CouplingProfile":
-        vals = np.atleast_1d(values)
-        n = n_bonds if n_bonds is not None else len(vals)
-        return cls(tuple(omega_from_mhz(v) for v in _as_tuple(vals, n, "coupling")))
+    def from_mhz(cls, values_mhz) -> "CouplingProfile":
+        return cls(_omegas(values_mhz))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -93,10 +87,8 @@ class AnharmonicityProfile:
             raise ValueError("anharmonicity magnitudes must be non-negative")
 
     @classmethod
-    def from_mhz(cls, values, n_sites: int | None = None) -> "AnharmonicityProfile":
-        vals = np.atleast_1d(values)
-        n = n_sites if n_sites is not None else len(vals)
-        return cls(tuple(omega_from_mhz(v) for v in _as_tuple(vals, n, "anharmonicity")))
+    def from_mhz(cls, values_mhz) -> "AnharmonicityProfile":
+        return cls(_omegas(values_mhz))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -109,10 +101,8 @@ class TransverseProfile:
     values: tuple
 
     @classmethod
-    def from_mhz(cls, values, n_sites: int | None = None) -> "TransverseProfile":
-        vals = np.atleast_1d(values)
-        n = n_sites if n_sites is not None else len(vals)
-        return cls(tuple(omega_from_mhz(v) for v in _as_tuple(vals, n, "transverse field")))
+    def from_mhz(cls, values_mhz) -> "TransverseProfile":
+        return cls(_omegas(values_mhz))
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values)
@@ -140,8 +130,7 @@ class DriveSpec:
 
     @classmethod
     def from_mhz(cls, eps_mhz, nu_mhz: float) -> "DriveSpec":
-        eps = tuple(omega_from_mhz(v) for v in np.atleast_1d(eps_mhz))
-        return cls(eps, omega_from_mhz(nu_mhz))
+        return cls(_omegas(eps_mhz), omega_from_mhz(nu_mhz))
 
     @classmethod
     def staggered_odd(cls, L: int, eps_mhz: float, nu_mhz: float) -> "DriveSpec":

@@ -12,7 +12,9 @@ exponential going through the same Lanczos core. Multi-segment protocols
 executed by ``run_protocol``, a generator of ``(t, state)`` pairs, one per
 sample time: every driven segment restarts its drive phase at its own start
 and is integrated in substeps of ``default_substep_ns`` (T/64), and every
-exponential uses ``DEFAULT_TOL`` and ``DEFAULT_KRYLOV_DIM``.
+exponential uses ``DEFAULT_TOL`` and ``DEFAULT_KRYLOV_DIM``. A segment's one
+``sign`` multiplies its hopping and transverse terms, so time reversal is a
+single sign flip; stroboscopic sampling is a sample step of one drive period.
 """
 
 from __future__ import annotations
@@ -186,19 +188,14 @@ def _finish(basis: FockBasis, raw: np.ndarray) -> StateVector:
     return StateVector(basis, raw / nrm, normalize=False)
 
 
-def evolve_static(
-    H: SparseOperator,
-    psi: StateVector,
-    dt_ns: float,
-    m_max: int = DEFAULT_KRYLOV_DIM,
-    max_halvings: int = 48,
-) -> StateVector:
+def evolve_static(H: SparseOperator, psi: StateVector, dt_ns: float) -> StateVector:
     """Apply ``exp(-i H dt)`` to a state via adaptive Lanczos.
 
-    H must carry the hermitian tag and live on the state's basis. The
-    returned state has unit norm; a pre-normalization drift above 1e-8
-    raises NumericsError rather than being silently absorbed, and so does a
-    step that would need sub-steps shorter than dt / 2**max_halvings.
+    H must carry the hermitian tag and live on the state's basis. Bases hold
+    at most ``DEFAULT_KRYLOV_DIM`` vectors. The returned state has unit norm;
+    a pre-normalization drift above 1e-8 raises NumericsError rather than
+    being silently absorbed, and so does a step that would need sub-steps
+    shorter than dt / 2**48.
     """
     if not H.hermitian:
         raise ValueError("evolve_static requires a Hermitian operator")
@@ -206,8 +203,7 @@ def evolve_static(
         raise ValueError("operator and state live on different bases")
     if dt_ns == 0.0:
         return psi.copy()
-    raw = _krylov_expm(H.matvec, psi.amplitudes, float(dt_ns), DEFAULT_TOL, m_max,
-                       max_halvings)
+    raw = _krylov_expm(H.matvec, psi.amplitudes, float(dt_ns), DEFAULT_TOL, DEFAULT_KRYLOV_DIM)
     return _finish(psi.basis, raw)
 
 
@@ -274,32 +270,32 @@ def evolve_driven(
 class Segment:
     """One leg of a protocol: a duration plus the Hamiltonian that rules it.
 
-    The coupling and transverse terms carry flippable signs; the
-    anharmonicity never flips sign. On a two-level basis the on-site term
-    U/2 n(n-1) vanishes, so the same segment gives the hopping model there.
-    A drive, if any, adds ``cos(nu t) sum_j eps_j n_j`` with t measured
-    from the segment's start.
+    ``sign`` (+1 or -1) multiplies the hopping and the transverse term
+    together; the anharmonicity never flips sign. On a two-level basis the
+    on-site term U/2 n(n-1) vanishes, so the same segment gives the hopping
+    model there. A drive, if any, adds ``cos(nu t) sum_j eps_j n_j`` with t
+    measured from the segment's start.
     """
 
     duration_ns: float
     coupling: CouplingProfile
     anharmonicity: AnharmonicityProfile
     transverse: TransverseProfile | None = None
-    coupling_sign: int = 1
-    transverse_sign: int = 1
+    sign: int = 1
     drive: DriveSpec | None = None
 
     def __post_init__(self):
         if self.duration_ns < 0:
             raise ValueError("segment duration must be non-negative")
-        if self.coupling_sign not in (-1, 1) or self.transverse_sign not in (-1, 1):
-            raise ValueError("signs must be +1 or -1")
+        if self.sign not in (-1, 1):
+            raise ValueError("sign must be +1 or -1")
 
     def static_hamiltonian(self, basis: FockBasis) -> SparseOperator:
-        H = float(self.coupling_sign) * build_hopping(basis, self.coupling)
+        sign = float(self.sign)
+        H = sign * build_hopping(basis, self.coupling)
         H = H + build_onsite_anharmonicity(basis, self.anharmonicity)
         if self.transverse is not None and not self.transverse.is_zero():
-            H = H + float(self.transverse_sign) * build_transverse(basis, self.transverse)
+            H = H + sign * build_transverse(basis, self.transverse)
         return H
 
     def drive_operator(self, basis: FockBasis) -> SparseOperator | None:
@@ -311,55 +307,35 @@ class Segment:
 def reverse_of(segment: Segment, drive_override: DriveSpec | None = None) -> Segment:
     """Segment that undoes the given one in a time-reversal protocol.
 
-    Without an override the coupling and transverse signs are negated and
-    the anharmonicity is left untouched. With a drive override (the driven
-    reversal recipe) the signs stay put and only the drive is replaced,
-    since the amplitude change is what flips the period-averaged coupling.
+    Without an override the sign is negated, flipping the hopping and the
+    transverse term, and the anharmonicity is left untouched. With a drive
+    override (the driven reversal recipe) the sign stays put and only the
+    drive is replaced, since the amplitude change is what flips the
+    period-averaged coupling.
     """
     if drive_override is not None:
         return replace(segment, drive=drive_override)
-    return replace(
-        segment,
-        coupling_sign=-segment.coupling_sign,
-        transverse_sign=-segment.transverse_sign,
-    )
+    return replace(segment, sign=-segment.sign)
 
 
 @dataclass(frozen=True)
 class Protocol:
-    """Ordered evolution segments plus a sampling schedule.
+    """Ordered evolution segments plus a sample step.
 
-    Either uniform sampling every ``sample_dt_ns`` or stroboscopic sampling
-    at integer multiples of the drive period. Segment boundaries are always
-    sampled; ``run_protocol`` yields one state per entry of
+    Samples fall at every multiple of ``sample_dt_ns`` (None: none) and at
+    every segment boundary; stroboscopic sampling is a step of one drive
+    period. ``run_protocol`` yields one state per entry of
     ``sample_times()``. A schedule of more than ``MAX_SAMPLES`` samples
     raises ResourceLimitError before any sample time is made.
     """
 
     segments: tuple
     sample_dt_ns: float | None = None
-    stroboscopic: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
-        if self.stroboscopic and self.sample_dt_ns is not None:
-            raise ValueError("choose either uniform or stroboscopic sampling")
         if self.sample_dt_ns is not None and not self.sample_dt_ns > 0:
             raise ValueError("sampling step must be positive")
-        if self.stroboscopic and self._drive_period() is None:
-            raise ValueError("stroboscopic sampling requires a driven segment")
-
-    def _drive_period(self) -> float | None:
-        periods = {
-            round(seg.drive.period_ns, 12)
-            for seg in self.segments
-            if seg.drive is not None and seg.drive.is_active()
-        }
-        if not periods:
-            return None
-        if len(periods) > 1:
-            raise ValueError("stroboscopic sampling needs a single drive period")
-        return periods.pop()
 
     @property
     def total_ns(self) -> float:
@@ -374,10 +350,7 @@ class Protocol:
     def sample_times(self) -> np.ndarray:
         total = self.total_ns
         marks = list(self.boundaries_ns())
-        if self.stroboscopic:
-            step = self._drive_period()
-        else:
-            step = self.sample_dt_ns
+        step = self.sample_dt_ns
         if step is not None and total > 0:
             count = (total + 1e-9) // step + 1
             if count > MAX_SAMPLES:

@@ -11,13 +11,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..analysis import ResourceLimitError, sector_spectrum
-from ..operators import AnharmonicityProfile, CouplingProfile, mhz_from_omega
+from ..analysis import ResourceLimitError
+from ..operators import mhz_from_omega
 from ..propagator import NumericsError
 from .config import ConfigError, load_config
 from .experiments import SweepSpec, run_experiment, run_sweep, write_output
 from .presets import preset, preset_text
-from .records import write_result
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -119,19 +118,20 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    report = sector_spectrum(
-        args.sites,
-        args.particles,
-        args.levels,
-        CouplingProfile.from_mhz([args.J] * (args.sites - 1)),
-        AnharmonicityProfile.from_mhz([args.U] * args.sites),
+    """Run the flags as a spectrum-mode config, so they pass its validation."""
+    config = load_config(
+        f"[lattice]\nsites = {args.sites}\nlevels = {args.levels}\n"
+        f"[profiles]\ncoupling_mhz = {args.J!r}\nanharmonicity_mhz = {args.U!r}\n"
+        f"[protocol]\nmode = spectrum\n[spectrum]\nparticles = {args.particles}\n"
+        f"[output]\nformat = {args.format}\n"
     )
+    report = run_experiment(config)
     lo = mhz_from_omega(report.eigenvalues[0])
     hi = mhz_from_omega(report.eigenvalues[-1])
     print(f"dimension {report.dim}, energies (value/2pi) {lo:.3f} .. {hi:.3f} MHz, "
           f"{len(set(report.bands.tolist()))} band(s)")
     if args.output:
-        print(f"wrote {write_result(report, args.output, args.format)}")
+        print(f"wrote {write_output(config, report, args.output)}")
     return 0
 
 

@@ -13,7 +13,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from ..fockspace import MAX_LEVELS
+from ..fockspace import MAX_LEVELS, check_codes_fit
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "TABLE_S1_U_MHZ"]
 
@@ -116,6 +116,17 @@ def _want_float(entries, key, default=None):
     if not math.isfinite(out):
         raise ConfigError(f"expected a finite number, got {value!r}", line=line, key=key)
     return out
+
+
+def _want_time(entries, key):
+    """A non-negative time from key, else from assumed_<key>; None if neither."""
+    for name in (key, f"assumed_{key}"):
+        value = _want_float(entries, name)
+        if value is not None:
+            if value < 0:
+                raise ConfigError(f"expected a non-negative time, got {value:g}", key=name)
+            return value
+    return None
 
 
 def _want_int(entries, key, default=None):
@@ -231,6 +242,7 @@ def _validate(entries: dict, source_text: str = "") -> ExperimentConfig:
     levels = _want_int(entries, "levels", 3)
     if not 2 <= levels <= MAX_LEVELS:
         raise ConfigError(f"need 2 to {MAX_LEVELS} levels, got {levels}", key="levels")
+    check_codes_fit(sites, levels)  # before any list of `sites` entries
 
     both = _float_list(entries, "coupling_and_field_mhz", 1)
     coupling = _float_list(entries, "coupling_mhz", max(sites - 1, 1), default_scalar=10.8)
@@ -297,12 +309,8 @@ def _validate(entries: dict, source_text: str = "") -> ExperimentConfig:
                 )
 
     mode = _want_choice(entries, "mode", MODES, "single-run")
-    forward = _want_float(entries, "forward_ns")
-    if forward is None:
-        forward = _want_float(entries, "assumed_forward_ns")
-    duration = _want_float(entries, "duration_ns")
-    if duration is None:
-        duration = _want_float(entries, "assumed_duration_ns")
+    forward = _want_time(entries, "forward_ns")
+    duration = _want_time(entries, "duration_ns")
 
     drive_kind = _want_choice(entries, "drive", DRIVE_KINDS, "none")
     drive_freq = _want_float(entries, "drive_frequency_mhz")

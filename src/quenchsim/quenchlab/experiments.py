@@ -147,10 +147,9 @@ def run_experiment(config: ExperimentConfig):
         segments = (seg_f, reverse_of(seg_f, drive_override=drive_b))
     else:
         segments = (_segment(config.duration_ns, coupling, anh, trans, drive_f),)
+    # load_config gives every stroboscopic run a drive with nu > 0
     protocol = Protocol(
-        segments,
-        sample_dt_ns=None if config.stroboscopic else config.dt_ns,
-        stroboscopic=config.stroboscopic,
+        segments, sample_dt_ns=drive_f.period_ns if config.stroboscopic else config.dt_ns
     )
     observe = _observer(config, psi0)
     if config.mode != "one-direction-compare":

@@ -48,14 +48,6 @@ def _row_values(rec: ObservableRecord, sites: int) -> list:
     return vals
 
 
-def _infer_sites(records) -> int:
-    for rec in records:
-        for attr in (rec.populations, rec.pauli_x, rec.pauli_z):
-            if attr is not None:
-                return len(attr)
-    raise ValueError("cannot infer the site count; pass sites= explicitly")
-
-
 def _cell(value, format: str) -> str:
     """One table cell in the given format.
 
@@ -93,15 +85,12 @@ def _write_table(path, format: str, cols: list, rows: list) -> None:
             fh.write("]\n")
 
 
-def write_records(records, path, format: str = "csv", sites: int | None = None) -> None:
+def write_records(records, path, format: str = "csv", *, sites: int) -> None:
     """Write observable records with the documented column schema.
 
-    Absent observables appear as empty CSV fields / JSON nulls. ``sites``
-    may be omitted when any record carries per-site data.
+    ``sites`` sets the per-site columns. Absent observables appear as empty
+    CSV fields / JSON nulls.
     """
-    records = list(records)
-    if sites is None:
-        sites = _infer_sites(records)
     rows = [_row_values(rec, sites) for rec in records]
     _write_table(path, format, record_columns(sites), rows)
 
@@ -127,11 +116,11 @@ def write_spectrum(report: SpectrumReport, path, format: str = "csv") -> None:
     _write_table(path, format, cols, rows)
 
 
-def write_result(result, path, format: str = "csv", sites: int | None = None) -> str:
+def write_result(result, path, format: str = "csv", *, sites: int) -> str:
     """Write records or a SpectrumReport to path; return the path written.
 
-    A bare file name lands in ``default_output_dir()``, and a missing
-    parent directory is created.
+    ``sites`` sets the per-site columns of records. A bare file name lands
+    in ``default_output_dir()``, and a missing parent directory is created.
     """
     path = os.fspath(path)
     if not os.path.dirname(path):

@@ -332,7 +332,7 @@ def test_13_floquet_effective_model_strict():
     drive = DriveSpec.staggered_odd(L, 213.6, 120.0)
     psi0 = parse_product_state(PSI["psi5"], basis)
     seg = Segment(10 * drive.period_ns, cp, up, drive=drive)
-    proto = Protocol((seg,), stroboscopic=True)
+    proto = Protocol((seg,), sample_dt_ns=drive.period_ns)
     traj = list(run_protocol(proto, psi0))
     jeff = effective_coupling(10.8, 213.6, 120.0)
     Heff = build_hopping(basis, CouplingProfile.from_mhz([jeff] * (L - 1)))

@@ -255,10 +255,9 @@ class TestSectorSpectrum:
     def test_dense_cap(self):
         with pytest.raises(ResourceLimitError):
             sector_spectrum(
-                10, 5, 6,
-                CouplingProfile.from_mhz([8.0] * 9),
-                AnharmonicityProfile.from_mhz([240.0] * 10),
-                dense_cap=100,
+                12, 6, 7,
+                CouplingProfile.from_mhz([8.0] * 11),
+                AnharmonicityProfile.from_mhz([240.0] * 12),
             )
 
     def test_band_structure_at_strong_interaction(self):

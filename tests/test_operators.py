@@ -253,12 +253,6 @@ class TestUnitsAndDrive:
         with pytest.raises(ValueError):
             DriveSpec((omega_from_mhz(100.0),), 0.0)
 
-    def test_profile_broadcast_and_length(self):
-        prof = CouplingProfile.from_mhz(10.8, n_bonds=9)
-        assert len(prof) == 9
-        with pytest.raises(ValueError):
-            CouplingProfile.from_mhz([1.0, 2.0], n_bonds=9)
-
 
 class TestSparseOperatorAlgebra:
     def test_add_preserves_hermitian(self):

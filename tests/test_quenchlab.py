@@ -1,6 +1,8 @@
+import contextlib
 import json
 import math
 import os
+import resource
 import time
 
 import numpy as np
@@ -25,6 +27,27 @@ from quenchsim.quenchlab import (
 )
 from quenchsim.quenchlab.cli import main
 from quenchsim.quenchlab.experiments import _pick_sector
+
+
+@contextlib.contextmanager
+def address_space_headroom(nbytes):
+    """Cap this process's address space at its current size plus nbytes.
+
+    A size guard that lets a huge input through then fails with MemoryError
+    instead of filling the machine's memory.
+    """
+    with open("/proc/self/statm") as fh:
+        current = int(fh.read().split()[0]) * resource.getpagesize()
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = current + nbytes
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
 
 MINIMAL = """
 [lattice]
@@ -90,6 +113,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="forward_ns"):
             load_config(MINIMAL.replace("mode = single-run\nduration_ns = 20",
                                         "mode = time-reversal"))
+
+    @pytest.mark.parametrize("mode,key", [("time-reversal", "forward_ns"),
+                                          ("single-run", "duration_ns"),
+                                          ("single-run", "assumed_duration_ns")])
+    def test_negative_time_rejected(self, mode, key):
+        text = MINIMAL.replace("mode = single-run\nduration_ns = 20",
+                               f"mode = {mode}\n{key} = -5")
+        with pytest.raises(ConfigError, match="non-negative") as err:
+            load_config(text)
+        assert err.value.key == key
 
     def test_stroboscopic_needs_drive(self):
         with pytest.raises(ConfigError, match="drive"):
@@ -242,6 +275,29 @@ dt_ns = 10
         records = run_experiment(load_config(text))
         assert records[-1].fidelity == pytest.approx(1.0, abs=1e-8)
         assert records[-1].time_ns == pytest.approx(100.0)
+
+    @pytest.mark.parametrize("forward_mhz", [213.6, 0.0])
+    def test_stroboscopic_samples_every_period(self, forward_mhz):
+        text = f"""
+[lattice]
+sites = 4
+levels = 3
+[state]
+initial = 0110
+[protocol]
+mode = time-reversal
+forward_ns = 50
+drive = staggered-odd
+drive_frequency_mhz = 120
+drive_forward_mhz = {forward_mhz}
+drive_backward_mhz = 400
+[sampling]
+stroboscopic = true
+"""
+        times = np.array([r.time_ns for r in run_experiment(load_config(text))])
+        period = 1e3 / 120.0  # 50 ns is six periods
+        np.testing.assert_allclose(times, period * np.arange(13), atol=1e-9)
+        assert times[-1] == 2 * 50.0
 
     def test_single_run_records(self):
         cfg = load_config(MINIMAL + "\n[observables]\nobservables = populations, pauli\n")
@@ -718,6 +774,29 @@ sector = full
         started = time.perf_counter()
         assert main(["run", "-c", str(cfg_path), "-o", str(tmp_path / "o.csv")]) == 3
         assert time.perf_counter() - started < 1.0
+        assert "overflow" in capsys.readouterr().err
+
+    def test_huge_site_count_fails_in_load_config(self):
+        text = MINIMAL.replace("sites = 2", "sites = 1000000000")
+        started = time.perf_counter()
+        with address_space_headroom(1 << 29), pytest.raises(ResourceLimitError, match="overflow"):
+            load_config(text)
+        assert time.perf_counter() - started < 1.0
+
+    def test_spectrum_cli_rejects_nan(self, capsys):
+        started = time.perf_counter()
+        rc = main(["spectrum", "-L", "10", "-N", "5", "-K", "6", "--J", "nan", "--U", "240"])
+        assert time.perf_counter() - started < 1.0
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_spectrum_cli_huge_site_count_exit_3(self, capsys):
+        started = time.perf_counter()
+        with address_space_headroom(1 << 29):
+            rc = main(["spectrum", "-L", "1000000000", "-N", "5", "-K", "2",
+                       "--J", "8", "--U", "240"])
+        assert time.perf_counter() - started < 1.0
+        assert rc == 3
         assert "overflow" in capsys.readouterr().err
 
     def test_unbounded_drive_substeps_cli_exit_3(self, tmp_path, capsys):
