@@ -18,7 +18,9 @@ from .fockspace import (
     FockBasis,
     ResourceLimitError,
     StateVector,
+    basis_dim,
     build_basis,
+    check_codes_fit,
     embed_state,
 )
 from .operators import (
@@ -160,10 +162,9 @@ def anharmonicity_expectation(psi: StateVector) -> float:
 def half_chain_entropy(psi: StateVector, cut: int) -> float:
     """Von Neumann entropy (nats) of the first ``cut`` sites.
 
-    The amplitude vector is arranged as a (K^cut) x (K^(L-cut)) matrix whose
-    singular values give the Schmidt spectrum; sector and range bases are
-    scattered into that rectangle directly. Raises ResourceLimitError when the
-    rectangle would exceed the dense-size cap.
+    The amplitudes are scattered into a (K^cut) x (K^(L-cut)) matrix whose
+    singular values give the Schmidt spectrum. Raises ResourceLimitError
+    when the rectangle would exceed the dense-size cap.
     """
     basis = psi.basis
     if not 1 <= cut < basis.L:
@@ -174,18 +175,10 @@ def half_chain_entropy(psi: StateVector, cut: int) -> float:
         raise ResourceLimitError(
             f"bipartition needs {rows}x{cols} dense elements, above the cap"
         )
-    if basis.sector is None:
-        m = psi.amplitudes.reshape(rows, cols)
-    else:
-        left = basis.states[:, :cut].astype(np.int64) @ (
-            basis.K ** np.arange(cut - 1, -1, -1)
-        ).astype(np.int64)
-        right = basis.states[:, cut:].astype(np.int64) @ (
-            basis.K ** np.arange(basis.L - cut - 1, -1, -1)
-        ).astype(np.int64)
-        m = np.zeros((rows, cols), dtype=np.complex128)
-        m[left, right] = psi.amplitudes
-    s = np.linalg.svd(m, compute_uv=False)
+    # Radix codes put site 0 first, so code = row * cols + col on every basis.
+    m = np.zeros(rows * cols, dtype=np.complex128)
+    m[basis.codes] = psi.amplitudes
+    s = np.linalg.svd(m.reshape(rows, cols), compute_uv=False)
     lam = s**2
     lam = lam[lam > 1e-15]
     return float(-np.sum(lam * np.log(lam)))
@@ -231,11 +224,11 @@ def sector_spectrum(
     Diagonalizes densely, so the sector dimension must stay at desk scale:
     above ``MAX_DENSE_DIM`` (10^4) a ResourceLimitError is raised.
     """
+    check_codes_fit(L, K)
+    dim = basis_dim(L, K, N, N)  # counted before anything is enumerated
+    if dim > MAX_DENSE_DIM:
+        raise ResourceLimitError(f"sector dimension {dim} exceeds dense cap {MAX_DENSE_DIM}")
     basis = build_basis(L, K, sector=N)
-    if basis.dim > MAX_DENSE_DIM:
-        raise ResourceLimitError(
-            f"sector dimension {basis.dim} exceeds dense cap {MAX_DENSE_DIM}"
-        )
     H = build_hopping(basis, coupling) + build_onsite_anharmonicity(basis, anharmonicity)
     dense = H.dense()
     if dense.imag.any():

@@ -31,6 +31,7 @@ __all__ = [
     "basis_dim",
     "check_codes_fit",
     "build_basis",
+    "product_sites",
     "parse_product_state",
     "build_product_state",
     "embed_state",
@@ -331,15 +332,15 @@ def build_product_state(
     return StateVector(basis, amps)
 
 
-def parse_product_state(spec: str, basis: FockBasis) -> StateVector:
-    """Build a product state from a per-site token string.
+def product_sites(spec: str, L: int, K: int) -> tuple[dict[int, complex], ...]:
+    """Per-site ``{level: amplitude}`` maps of a token string of L sites.
 
-    One token per site: a digit d puts the site in level d, and ``+`` puts it
-    in the equal superposition of levels 0 and 1. Example: ``"0101010101"``
-    is the ten-site alternating pattern with five particles.
+    One token per site: a digit d puts the site in level d (at most K-1), and
+    ``+`` puts it in the equal superposition of levels 0 and 1. The result
+    is what build_product_state takes.
     """
-    if len(spec) != basis.L:
-        raise ValueError(f"state string has {len(spec)} tokens, basis has {basis.L} sites")
+    if len(spec) != L:
+        raise ValueError(f"state string has {len(spec)} tokens for {L} sites")
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     sites: list[dict[int, complex]] = []
     for j, token in enumerate(spec):
@@ -347,14 +348,21 @@ def parse_product_state(spec: str, basis: FockBasis) -> StateVector:
             sites.append({0: inv_sqrt2, 1: inv_sqrt2})
         elif token.isdigit():
             level = int(token)
-            if level >= basis.K:
-                raise ValueError(
-                    f"site {j}: level {level} outside [0, {basis.K - 1}]"
-                )
+            if level >= K:
+                raise ValueError(f"site {j}: level {level} outside levels 0..{K - 1}")
             sites.append({level: 1.0})
         else:
             raise ValueError(f"site {j}: unknown token {token!r}")
-    return build_product_state(sites, basis)
+    return tuple(sites)
+
+
+def parse_product_state(spec: str, basis: FockBasis) -> StateVector:
+    """Build a product state from a per-site token string (see product_sites).
+
+    Example: ``"0101010101"`` is the ten-site alternating pattern with five
+    particles.
+    """
+    return build_product_state(product_sites(spec, basis.L, basis.K), basis)
 
 
 def embed_state(state: StateVector, target: FockBasis) -> StateVector:

@@ -1,7 +1,7 @@
 """Experiment layer: configs, figure presets, sweeps, outputs and the CLI."""
 
 from .config import ConfigError, ExperimentConfig, TABLE_S1_U_MHZ, load_config
-from .experiments import SweepSpec, run_experiment, run_sweep, write_output
+from .experiments import run_experiment, run_sweep, write_output
 from .presets import preset, preset_names, preset_text
 from .records import read_records, record_columns, write_records, write_spectrum
 
@@ -10,7 +10,6 @@ __all__ = [
     "ExperimentConfig",
     "TABLE_S1_U_MHZ",
     "load_config",
-    "SweepSpec",
     "run_experiment",
     "run_sweep",
     "write_output",

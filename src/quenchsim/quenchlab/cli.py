@@ -9,13 +9,14 @@ numerics or resource error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from ..analysis import ResourceLimitError
 from ..operators import mhz_from_omega
 from ..propagator import NumericsError
 from .config import ConfigError, load_config
-from .experiments import SweepSpec, run_experiment, run_sweep, write_output
+from .experiments import run_experiment, run_sweep, write_output
 from .presets import preset, preset_text
 
 
@@ -43,8 +44,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a cartesian parameter sweep")
     p_sweep.add_argument("-c", "--config", required=True)
     p_sweep.add_argument("--axis", action="append", default=[],
-                         metavar="key=v1,v2", help="extra sweep axis (repeatable)")
-    p_sweep.add_argument("-j", "--jobs", type=int, default=None, help="parallel workers")
+                         metavar="key=v1,v2",
+                         help="sweep axis, the config key axis_<key> (repeatable)")
+    p_sweep.add_argument("-j", "--jobs", type=int, default=None,
+                         help="parallel workers, the config key parallelism")
     p_sweep.add_argument("-o", "--outdir", help="output directory")
 
     p_spec = sub.add_parser("spectrum", help="number-sector spectrum of the chain")
@@ -67,7 +70,7 @@ def _run_and_write(config, args, stem: str, sweep: bool = False) -> int:
     if args.format:
         config = config.with_overrides({"format": args.format})
     if sweep and config.sweep_axes:
-        return _report_sweep(SweepSpec.from_config(config))
+        return _report_sweep(config)
     path = args.output or config.output_path or f"{stem}.{config.output_format}"
     print(f"wrote {write_output(config, run_experiment(config), path)}")
     return 0
@@ -84,37 +87,25 @@ def _cmd_preset(args) -> int:
     return 0
 
 
-def _parse_axes(pairs) -> dict:
-    axes = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"--axis expects key=v1,v2 (got {pair!r})")
-        key, values = pair.split("=", 1)
-        vals = [v.strip() for v in values.split(",") if v.strip()]
-        if not vals:
-            raise ConfigError(f"--axis {key} has no values")
-        axes[key.strip().lower()] = vals
-    return axes
-
-
-def _report_sweep(spec: SweepSpec) -> int:
+def _report_sweep(config, output_dir=None) -> int:
     """Run a sweep, print each point's output or error; 3 if any point failed."""
-    results = run_sweep(spec)
+    results = run_sweep(config, output_dir)
     for r in results:
         print(f"{r.params} -> {r.path if r.path else f'FAILED: {r.error}'}")
     return 3 if any(r.error for r in results) else 0
 
 
 def _cmd_sweep(args) -> int:
-    config = load_config(args.config)
-    spec = SweepSpec.from_config(
-        config,
-        extra_axes=_parse_axes(args.axis),
-        parallelism=args.jobs,
-        output_dir=args.outdir,
-    )
-    print(f"sweep over {spec.size} point(s)")
-    return _report_sweep(spec)
+    """Apply --axis k=v1,v2 and -j N as the config keys axis_k and parallelism."""
+    overrides = {}
+    for pair in args.axis:
+        key, _, values = pair.partition("=")
+        overrides[f"axis_{key.strip()}"] = values
+    if args.jobs is not None:
+        overrides["parallelism"] = args.jobs
+    config = load_config(args.config).with_overrides(overrides)
+    print(f"sweep over {math.prod(len(v) for v in config.sweep_axes.values())} point(s)")
+    return _report_sweep(config, args.outdir)
 
 
 def _cmd_spectrum(args) -> int:

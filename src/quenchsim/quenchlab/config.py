@@ -13,7 +13,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from ..fockspace import MAX_LEVELS, check_codes_fit
+from ..fockspace import MAX_LEVELS, check_codes_fit, product_sites
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "TABLE_S1_U_MHZ"]
 
@@ -192,7 +192,9 @@ class ExperimentConfig:
     Produced by load_config; fields mirror the document keys with profile
     lists broadcast to full length and frequencies kept in the quoted
     value/2pi MHz convention (conversion to angular units happens when
-    operators are built).
+    operators are built). ``initial`` holds one ``{level: amplitude}`` map
+    per site, as build_product_state takes it; ``sweep_axes`` and
+    ``parallelism`` describe the sweep that run_sweep runs.
     """
 
     sites: int
@@ -200,8 +202,7 @@ class ExperimentConfig:
     coupling_mhz: tuple
     anharmonicity_mhz: tuple
     transverse_mhz: tuple
-    initial_tokens: str | None
-    initial_amplitudes: tuple | None
+    initial: tuple | None
     mode: str
     forward_ns: float | None
     duration_ns: float | None
@@ -222,11 +223,15 @@ class ExperimentConfig:
     source_text: str = ""
 
     def with_overrides(self, overrides: dict) -> "ExperimentConfig":
-        """Revalidate with key -> value-string overrides applied."""
+        """Revalidate with key -> value-string overrides applied.
+
+        Keys are those of a document, ``amplitudes_q<j>`` and
+        ``axis_<key>`` (comma-separated values) included.
+        """
         raw = {k: v for k, (v, _) in self.raw.items()}
         for key, value in overrides.items():
             key = key.lower()
-            if key not in _KEY_SECTION and not key.startswith("amplitudes_q"):
+            if key not in _KEY_SECTION and not key.startswith(("amplitudes_q", "axis_")):
                 raise ConfigError("unknown override key", key=key)
             raw[key] = str(value)
         entries = {k: (v, 0) for k, v in raw.items()}
@@ -265,15 +270,21 @@ def _validate(entries: dict, source_text: str = "") -> ExperimentConfig:
     if any(u < 0 for u in anh):
         raise ConfigError("anharmonicity magnitudes must be non-negative", key="anharmonicity_mhz")
 
-    # Initial state: token string or per-site amplitude pairs.
+    # Initial state: per-site {level: amplitude} maps, from a token string
+    # or from amplitude pairs of levels 0 and 1.
     amp_keys = sorted(k for k in entries if k.startswith("amplitudes_q"))
-    tokens = entries.get("initial", (None, None))[0]
-    amplitudes = None
-    if amp_keys:
-        if tokens is not None:
+    initial = None
+    if "initial" in entries:
+        if amp_keys:
             raise ConfigError("give either initial tokens or amplitude pairs, not both",
                               key="initial")
-        pairs: list[tuple[complex, complex]] = []
+        value, line = entries["initial"]
+        try:
+            initial = product_sites(value, sites, levels)
+        except ValueError as exc:
+            raise ConfigError(str(exc), line=line, key="initial") from None
+    elif amp_keys:
+        pairs: list[dict[int, complex]] = []
         for j in range(1, sites + 1):
             key = f"amplitudes_q{j}"
             if key not in entries:
@@ -283,30 +294,14 @@ def _validate(entries: dict, source_text: str = "") -> ExperimentConfig:
             if len(parts) != 2:
                 raise ConfigError("expected 'amp0, amp1'", line=line, key=key)
             try:
-                pairs.append((complex(parts[0]), complex(parts[1])))
+                pairs.append({0: complex(parts[0]), 1: complex(parts[1])})
             except ValueError:
                 raise ConfigError(f"bad complex amplitude {value!r}", line=line, key=key) from None
         for k in amp_keys:
             suffix = k.removeprefix("amplitudes_q")
             if not suffix.isdigit() or not 1 <= int(suffix) <= sites:
                 raise ConfigError("amplitude pair for a site beyond the chain", key=k)
-        amplitudes = tuple(pairs)
-    elif tokens is not None:
-        line = entries["initial"][1]
-        if len(tokens) != sites:
-            raise ConfigError(
-                f"initial state has {len(tokens)} tokens for {sites} sites",
-                line=line, key="initial",
-            )
-        for tok in tokens:
-            if tok == "+":
-                continue
-            if not tok.isdigit():
-                raise ConfigError(f"unknown token {tok!r}", line=line, key="initial")
-            if int(tok) >= levels:
-                raise ConfigError(
-                    f"token {tok} outside levels 0..{levels - 1}", line=line, key="initial"
-                )
+        initial = tuple(pairs)
 
     mode = _want_choice(entries, "mode", MODES, "single-run")
     forward = _want_time(entries, "forward_ns")
@@ -367,7 +362,7 @@ def _validate(entries: dict, source_text: str = "") -> ExperimentConfig:
         if not 0 <= particles <= sites * (levels - 1):
             raise ConfigError(f"particles {particles} outside the chain's range",
                               key="particles")
-    if mode != "spectrum" and tokens is None and amplitudes is None:
+    if mode != "spectrum" and initial is None:
         raise ConfigError("missing initial state", key="initial")
 
     axes = {}
@@ -391,8 +386,7 @@ def _validate(entries: dict, source_text: str = "") -> ExperimentConfig:
         coupling_mhz=tuple(coupling),
         anharmonicity_mhz=tuple(anh),
         transverse_mhz=tuple(transverse),
-        initial_tokens=tokens,
-        initial_amplitudes=amplitudes,
+        initial=initial,
         mode=mode,
         forward_ns=forward,
         duration_ns=duration,

@@ -6,12 +6,13 @@ import itertools
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..analysis import (
     ObservableRecord,
+    SpectrumReport,
     anharmonicity_expectation,
     fidelity,
     half_chain_entropy,
@@ -19,13 +20,13 @@ from ..analysis import (
     sector_spectrum,
     site_populations,
 )
-from ..fockspace import build_basis, build_product_state, parse_product_state
+from ..fockspace import build_basis, build_product_state
 from ..operators import AnharmonicityProfile, CouplingProfile, DriveSpec, TransverseProfile
 from ..propagator import Protocol, Segment, reverse_of, run_protocol
-from .config import ConfigError, ExperimentConfig
-from .records import default_output_dir, write_result
+from .config import ExperimentConfig
+from .records import default_output_dir, write_records, write_spectrum
 
-__all__ = ["run_experiment", "SweepSpec", "run_sweep", "write_output"]
+__all__ = ["run_experiment", "run_sweep", "write_output"]
 
 
 def _profiles(config: ExperimentConfig):
@@ -53,15 +54,11 @@ def _drive_specs(config: ExperimentConfig):
 def _number_range(config: ExperimentConfig) -> tuple[int, int]:
     """Smallest and largest total occupation the initial product state spans.
 
-    A digit fixes its site's level; ``+`` and a two-level amplitude pair
-    add 0 or 1, or only the level whose amplitude is nonzero.
+    Each site adds its lowest and its highest level of nonzero amplitude.
     """
-    if config.initial_tokens is not None:
-        lo = sum(int(c) for c in config.initial_tokens if c.isdigit())
-        return lo, lo + config.initial_tokens.count("+")
     lo = hi = 0
-    for pair in config.initial_amplitudes:
-        live = [lvl for lvl, a in enumerate(pair) if a != 0]
+    for site in config.initial:
+        live = [lvl for lvl, a in site.items() if a != 0]
         lo += min(live, default=0)
         hi += max(live, default=0)
     return lo, hi
@@ -77,13 +74,6 @@ def _pick_sector(config: ExperimentConfig) -> int | range | None:
         return None
     lo, hi = _number_range(config)
     return lo if lo == hi else range(lo, hi + 1)
-
-
-def _initial_state(config: ExperimentConfig, basis):
-    if config.initial_tokens is not None:
-        return parse_product_state(config.initial_tokens, basis)
-    sites = [{0: a0, 1: a1} for a0, a1 in config.initial_amplitudes]
-    return build_product_state(sites, basis)
 
 
 def _observer(config: ExperimentConfig, psi0=None):
@@ -139,7 +129,7 @@ def run_experiment(config: ExperimentConfig):
 
     sector = _pick_sector(config)
     basis = build_basis(config.sites, config.levels, sector=sector)
-    psi0 = _initial_state(config, basis)
+    psi0 = build_product_state(config.initial, basis)
     drive_f, drive_b = _drive_specs(config)
 
     if config.mode == "time-reversal":
@@ -159,7 +149,7 @@ def run_experiment(config: ExperimentConfig):
     # the on-site term U/2 n(n-1) vanishes, gives the hopping-model reference
     # state at every sample; the K-level run records its cross fidelity.
     basis2 = build_basis(config.sites, 2, sector=sector)
-    reference = run_protocol(protocol, _initial_state(config, basis2))
+    reference = run_protocol(protocol, build_product_state(config.initial, basis2))
     return [
         observe(t, psi, cross=fidelity(psi2, psi))
         for (t, psi), (_, psi2) in zip(run_protocol(protocol, psi0), reference, strict=True)
@@ -167,54 +157,24 @@ def run_experiment(config: ExperimentConfig):
 
 
 def write_output(config: ExperimentConfig, result, path=None) -> str:
-    """Write a run's result to its configured (or given) destination."""
+    """Write records or a SpectrumReport to ``path`` (default: the config's).
+
+    A bare file name lands in ``default_output_dir()``, and a missing parent
+    directory is created. Returns the path written.
+    """
     if path is None:
         path = config.output_path
     if path is None:
         raise ValueError("no output path configured")
-    return write_result(result, path, config.output_format, sites=config.sites)
-
-
-@dataclass
-class SweepSpec:
-    """Cartesian parameter sweep over config keys.
-
-    ``axes`` maps config keys to value lists (strings, parsed per key by
-    the config schema). Points run on a bounded worker pool of
-    ``parallelism`` processes (at least 1); a failing point is reported in
-    its SweepResult rather than aborting the sweep.
-    """
-
-    base: ExperimentConfig
-    axes: dict = field(default_factory=dict)
-    parallelism: int = 1
-    output_dir: str | None = None
-
-    def __post_init__(self):
-        if self.parallelism < 1:
-            raise ConfigError(
-                f"parallelism must be at least 1, got {self.parallelism}", key="parallelism"
-            )
-
-    @classmethod
-    def from_config(cls, config: ExperimentConfig, extra_axes=None, parallelism=None,
-                    output_dir=None) -> "SweepSpec":
-        axes = dict(config.sweep_axes)
-        if extra_axes:
-            axes.update(extra_axes)
-        return cls(
-            base=config,
-            axes=axes,
-            parallelism=config.parallelism if parallelism is None else parallelism,
-            output_dir=output_dir,
-        )
-
-    @property
-    def size(self) -> int:
-        n = 1
-        for values in self.axes.values():
-            n *= len(values)
-        return n
+    path = os.fspath(path)
+    if not os.path.dirname(path):
+        path = os.path.join(default_output_dir(), path)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    if isinstance(result, SpectrumReport):
+        write_spectrum(result, path, config.output_format)
+    else:
+        write_records(result, path, config.output_format, sites=config.sites)
+    return path
 
 
 @dataclass
@@ -248,32 +208,33 @@ def _result(params: dict, path: str, run) -> SweepResult:
     return SweepResult(params, path)
 
 
-def run_sweep(spec: SweepSpec) -> list:
-    """Run every grid point, writing one output file per point.
+def run_sweep(config: ExperimentConfig, output_dir=None) -> list:
+    """Run every point of the config's sweep, one output file per point.
 
-    File names embed the axis values, so identical sweeps land on identical
-    names. Returns a SweepResult per point in deterministic grid order.
+    The points are the cartesian product of ``config.sweep_axes`` (a config
+    without axes is one point) and run on a bounded pool of
+    ``config.parallelism`` worker processes. Files go to ``output_dir``,
+    else the directory of the config's path, and their names embed the axis
+    values, so identical sweeps land on identical names. Returns a
+    SweepResult per point in deterministic grid order; a failing point is
+    reported in its SweepResult rather than aborting the sweep.
     """
-    base = spec.base
     stem = "sweep"
-    if base.output_path:
-        stem = os.path.splitext(os.path.basename(base.output_path))[0]
-    out_dir = spec.output_dir or (
-        os.path.dirname(base.output_path) if base.output_path else None
+    if config.output_path:
+        stem = os.path.splitext(os.path.basename(config.output_path))[0]
+    out_dir = output_dir or (
+        os.path.dirname(config.output_path) if config.output_path else None
     ) or default_output_dir()
 
-    keys = list(spec.axes)
-    grid = [
-        dict(zip(keys, combo))
-        for combo in itertools.product(*(spec.axes[k] for k in keys))
-    ]
+    axes = config.sweep_axes
+    grid = [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
     jobs = [
-        (params, os.path.join(out_dir, _point_name(stem, params, base.output_format)))
+        (params, os.path.join(out_dir, _point_name(stem, params, config.output_format)))
         for params in grid
     ]
-    if spec.parallelism == 1 or len(jobs) <= 1:
-        return [_result(params, path, lambda: _run_point(base, params, path))
+    if config.parallelism == 1 or len(jobs) <= 1:
+        return [_result(params, path, lambda: _run_point(config, params, path))
                 for params, path in jobs]
-    with ProcessPoolExecutor(max_workers=spec.parallelism) as pool:
-        futures = [pool.submit(_run_point, base, params, path) for params, path in jobs]
+    with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
+        futures = [pool.submit(_run_point, config, params, path) for params, path in jobs]
         return [_result(params, path, fut.result) for (params, path), fut in zip(jobs, futures)]

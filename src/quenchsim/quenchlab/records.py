@@ -15,7 +15,7 @@ import numpy as np
 from ..analysis import ObservableRecord, SpectrumReport
 from ..operators import mhz_from_omega
 
-__all__ = ["record_columns", "write_records", "read_records", "write_spectrum", "write_result"]
+__all__ = ["record_columns", "write_records", "read_records", "write_spectrum"]
 
 
 def record_columns(sites: int) -> list:
@@ -114,23 +114,6 @@ def write_spectrum(report: SpectrumReport, path, format: str = "csv") -> None:
         for i in range(report.dim)
     ]
     _write_table(path, format, cols, rows)
-
-
-def write_result(result, path, format: str = "csv", *, sites: int) -> str:
-    """Write records or a SpectrumReport to path; return the path written.
-
-    ``sites`` sets the per-site columns of records. A bare file name lands
-    in ``default_output_dir()``, and a missing parent directory is created.
-    """
-    path = os.fspath(path)
-    if not os.path.dirname(path):
-        path = os.path.join(default_output_dir(), path)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    if isinstance(result, SpectrumReport):
-        write_spectrum(result, path, format)
-    else:
-        write_records(result, path, format, sites=sites)
-    return path
 
 
 def default_output_dir() -> str:

@@ -8,11 +8,10 @@ import time
 import numpy as np
 import pytest
 
-from quenchsim import ResourceLimitError, fidelity, parse_product_state, build_basis
+from quenchsim import ResourceLimitError, analysis, fidelity, parse_product_state, build_basis
 from quenchsim.analysis import SpectrumReport
 from quenchsim.quenchlab import (
     ConfigError,
-    SweepSpec,
     load_config,
     preset,
     preset_names,
@@ -141,7 +140,7 @@ mode = single-run
 duration_ns = 5
 """
         cfg = load_config(text)
-        assert cfg.initial_amplitudes == ((0.6 + 0j, 0.8 + 0j), (1 + 0j, 0j))
+        assert cfg.initial == ({0: 0.6 + 0j, 1: 0.8 + 0j}, {0: 1 + 0j, 1: 0j})
 
     def test_amplitudes_and_tokens_conflict(self):
         with pytest.raises(ConfigError, match="not both"):
@@ -562,13 +561,9 @@ path = point.csv
 """
 
     def test_grid_outputs(self, tmp_path):
-        spec = SweepSpec.from_config(
-            load_config(self.BASE),
-            extra_axes={"coupling_mhz": ["4", "16"]},
-            output_dir=str(tmp_path),
-        )
-        assert spec.size == 2
-        results = run_sweep(spec)
+        cfg = load_config(self.BASE).with_overrides({"axis_coupling_mhz": "4, 16"})
+        assert cfg.sweep_axes == {"coupling_mhz": ["4", "16"]}
+        results = run_sweep(cfg, str(tmp_path))
         names = [os.path.basename(r.path) for r in results]
         assert names == ["point__coupling_mhz=4.csv", "point__coupling_mhz=16.csv"]
         for r in results:
@@ -576,20 +571,16 @@ path = point.csv
 
     def test_empty_axes_single_point_matches_run(self, tmp_path):
         cfg = load_config(self.BASE)
-        spec = SweepSpec.from_config(cfg, output_dir=str(tmp_path))
-        results = run_sweep(spec)
+        results = run_sweep(cfg, str(tmp_path))
         assert len(results) == 1
         direct = tmp_path / "direct.csv"
         write_output(cfg, run_experiment(cfg), direct)
         assert open(results[0].path).read() == direct.read_text()
 
     def test_failures_reported_not_fatal(self, tmp_path):
-        spec = SweepSpec.from_config(
-            load_config(self.BASE),
-            extra_axes={"dt_ns": ["2", "-1"]},  # the second point fails validation
-            output_dir=str(tmp_path),
-        )
-        results = run_sweep(spec)
+        # the second point fails validation
+        cfg = load_config(self.BASE).with_overrides({"axis_dt_ns": "2, -1"})
+        results = run_sweep(cfg, str(tmp_path))
         errors = [r for r in results if r.error]
         ok = [r for r in results if not r.error]
         assert len(errors) == 1 and len(ok) == 1
@@ -603,13 +594,10 @@ path = point.csv
         assert a.read_text() == b.read_text()
 
     def test_parallel_pool(self, tmp_path):
-        spec = SweepSpec.from_config(
-            load_config(self.BASE),
-            extra_axes={"coupling_mhz": ["4", "8", "16"]},
-            parallelism=2,
-            output_dir=str(tmp_path),
+        cfg = load_config(self.BASE).with_overrides(
+            {"axis_coupling_mhz": "4, 8, 16", "parallelism": "2"}
         )
-        results = run_sweep(spec)
+        results = run_sweep(cfg, str(tmp_path))
         assert all(r.error is None for r in results)
         assert len(results) == 3
 
@@ -690,12 +678,21 @@ class TestCli:
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_sweep_jobs_below_one_exit_2(self, tmp_path, capsys, jobs):
         with pytest.raises(ConfigError, match="parallelism"):
-            SweepSpec.from_config(load_config(TestSweep.BASE), parallelism=jobs)
+            load_config(TestSweep.BASE).with_overrides({"parallelism": jobs})
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text(TestSweep.BASE)
         rc = main(["sweep", "-c", str(cfg_path), "-j", str(jobs), "-o", str(tmp_path)])
         assert rc == 2
         assert "parallelism" in capsys.readouterr().err
+        assert not list(tmp_path.glob("point*"))
+
+    @pytest.mark.parametrize("axis", ["bogus=1,2", "parallelism=1,2"])
+    def test_sweep_axis_flag_validated_as_config_key(self, tmp_path, capsys, axis):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(TestSweep.BASE)
+        rc = main(["sweep", "-c", str(cfg_path), "--axis", axis, "-o", str(tmp_path)])
+        assert rc == 2
+        assert "axis" in capsys.readouterr().err
         assert not list(tmp_path.glob("point*"))
 
     def test_drive_substep_key_exit_2(self, tmp_path, capsys):
@@ -798,6 +795,15 @@ sector = full
         assert time.perf_counter() - started < 1.0
         assert rc == 3
         assert "overflow" in capsys.readouterr().err
+
+    def test_refused_spectrum_builds_no_basis(self, monkeypatch, capsys):
+        def build_basis(*args, **kwargs):
+            raise AssertionError("a refused spectrum enumerated its basis")
+
+        monkeypatch.setattr(analysis, "build_basis", build_basis)
+        rc = main(["spectrum", "-L", "18", "-N", "9", "-K", "3", "--J", "8", "--U", "240"])
+        assert rc == 3
+        assert "dense cap" in capsys.readouterr().err
 
     def test_unbounded_drive_substeps_cli_exit_3(self, tmp_path, capsys):
         text = MINIMAL.replace("duration_ns = 20", "duration_ns = 100\ndrive = staggered-odd\n"
