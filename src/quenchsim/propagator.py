@@ -1,10 +1,12 @@
 """Time evolution of state vectors under static and driven Hamiltonians.
 
 The workhorse is a Lanczos (Hermitian Krylov) approximation of
-``exp(-i H dt) psi`` with full BLAS reorthogonalization, an a-posteriori
-residual estimate gated by the Hochbruck-Lubich subspace-size bound, and
-Expokit-style step control: a basis that cannot certify the whole step
-advances by the largest sub-step its tridiagonal matrix does certify.
+``exp(-i H dt) psi`` with a local BLAS re-pass against the two previous
+vectors, an a-posteriori residual estimate gated by the Hochbruck-Lubich
+subspace-size bound and probed only once its leading Taylor term is below
+the tolerance, and Expokit-style step control: a basis that cannot certify
+the whole step advances by the largest sub-step its tridiagonal matrix does
+certify.
 Sinusoidally driven Hamiltonians are integrated with fourth-order
 commutator-free exponential substeps (two Gauss nodes per substep), each
 exponential going through the same Lanczos core. Multi-segment protocols
@@ -105,11 +107,16 @@ def _lanczos(matvec, V, h, tol, spread_est):
     invariant subspace, or when V is full. Returns (size, ritz, b,
     certified) with b the next off-diagonal coupling.
     ``eigh_tridiagonal`` runs only where the gate can hold with spread_est,
-    the previous basis's Ritz spread (0 for the first basis).
+    the previous basis's Ritz spread (0 for the first basis), and where the
+    residual's leading Taylor term, prod(beta_1..beta_k) |h|**k / (k-1)!,
+    is below tol: about one probe per basis.
     """
     m_max = V.shape[0]
     alpha = np.empty(m_max)
     beta = np.empty(m_max)
+    log_h = math.log(abs(h))
+    log_tol = math.log(tol)
+    log_pred = 0.0
     for k in range(1, m_max + 1):
         j = k - 1
         w = matvec(V[j])
@@ -118,16 +125,22 @@ def _lanczos(matvec, V, h, tol, spread_est):
         a = zdotc(V[j], w).real
         alpha[j] = a
         w = zaxpy(V[j], w, a=-a)
-        # Full reorthogonalization keeps the basis numerically orthonormal,
-        # which is what preserves unitarity of the projected exponential.
-        # V[:k].T is a Fortran view, so BLAS reads the basis without a copy.
-        Vt = V[:k].T
+        # One re-pass against the two vectors the recurrence used, not the
+        # whole basis: for exp(-i h H) psi the three-term recurrence stays
+        # accurate (Druskin, Greenbaum & Knizhnerman 1998). Full 30-vector
+        # bases on dimensions 50 and 55 at 50-500 ns, where Ritz values
+        # converge and |V^H V - I| reaches 0.4, stay within 1.3e-11 of dense
+        # propagation with norm drift below 3e-15 (tests/test_propagator.py).
+        # The slice's .T is a Fortran view, so BLAS reads it without a copy.
+        Vt = V[max(j - 1, 0):k].T
         c = zgemv(1.0, Vt, w, trans=2)
         w = zgemv(-1.0, Vt, c, beta=1.0, y=w, overwrite_y=1)
         b = dznrm2(w)
         if b < 1e-14:
             return k, _Ritz(alpha[:k], beta[:j]), b, True
-        if k == m_max or (k >= 3 and k >= 0.5 * abs(h) * spread_est):
+        log_pred += math.log(b) + log_h - math.log(max(j, 1))
+        if k == m_max or (k >= 3 and k >= 0.5 * abs(h) * spread_est
+                          and log_pred < log_tol):
             ritz = _Ritz(alpha[:k], beta[:j])
             certified = ritz.certifies(h, b, tol)
             if certified or k == m_max:

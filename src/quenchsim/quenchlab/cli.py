@@ -62,16 +62,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_and_write(config, args, stem: str, sweep: bool = False) -> int:
-    """Apply --format, run the config, write its result and print the path.
+    """Apply --format and -o as overrides, run the config, write, print the path.
 
     The result goes to -o, else the config's path, else ``<stem>.<format>``.
-    With ``sweep``, a config that has sweep axes runs as a sweep instead.
+    With ``sweep``, a config that has sweep axes runs as a sweep instead, and
+    its point files are named after that path, in its directory.
     """
-    if args.format:
-        config = config.with_overrides({"format": args.format})
+    overrides = {"format": args.format, "path": args.output}
+    config = config.with_overrides({k: v for k, v in overrides.items() if v})
     if sweep and config.sweep_axes:
         return _report_sweep(config)
-    path = args.output or config.output_path or f"{stem}.{config.output_format}"
+    path = config.output_path or f"{stem}.{config.output_format}"
     print(f"wrote {write_output(config, run_experiment(config), path)}")
     return 0
 

@@ -9,6 +9,7 @@ number. Frequencies are quoted the way device papers quote them, as
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 from dataclasses import dataclass, field
@@ -294,9 +295,12 @@ def _validate(entries: dict, source_text: str = "") -> ExperimentConfig:
             if len(parts) != 2:
                 raise ConfigError("expected 'amp0, amp1'", line=line, key=key)
             try:
-                pairs.append({0: complex(parts[0]), 1: complex(parts[1])})
+                pair = {0: complex(parts[0]), 1: complex(parts[1])}
             except ValueError:
                 raise ConfigError(f"bad complex amplitude {value!r}", line=line, key=key) from None
+            if not all(cmath.isfinite(amp) for amp in pair.values()):
+                raise ConfigError(f"expected finite amplitudes, got {value!r}", line=line, key=key)
+            pairs.append(pair)
         for k in amp_keys:
             suffix = k.removeprefix("amplitudes_q")
             if not suffix.isdigit() or not 1 <= int(suffix) <= sites:

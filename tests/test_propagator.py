@@ -171,6 +171,65 @@ class TestEvolveStatic:
             v = _krylov_expm(H.matvec, v, 10.0, 1e-10, 30)
         assert abs(np.linalg.norm(v) - 1.0) < 1e-8
 
+    @staticmethod
+    def _k3_chain(L, N):
+        # K=3 chain at J=16, U=240 MHz on the particle-number sector N
+        basis = build_basis(L, 3, sector=N)
+        H = build_hopping(basis, CouplingProfile.from_mhz([16.0] * (L - 1))) + \
+            build_onsite_anharmonicity(basis, AnharmonicityProfile.from_mhz([240.0] * L))
+        return basis, H
+
+    # Long single steps on small bases: the 30-vector basis outgrows the
+    # dimension the start vector reaches, Ritz values converge and the local
+    # re-pass lets orthogonality go, yet f(A)b stays accurate.
+    @pytest.mark.parametrize("L,N,state,t", [
+        (10, 2, "0001001000", 50.0),
+        (10, 2, "0001001000", 500.0),
+        (6, 3, "010101", 300.0),
+    ])
+    def test_long_step_after_ritz_convergence(self, L, N, state, t):
+        from quenchsim.propagator import _krylov_expm
+
+        basis, H = self._k3_chain(L, N)
+        psi = parse_product_state(state, basis).amplitudes
+        raw = _krylov_expm(H.matvec, psi, t, 1e-10, 30)
+        assert np.linalg.norm(raw - dense_propagate(H.dense(), psi, t)) < 1e-10
+        assert abs(np.linalg.norm(raw) - 1.0) < 1e-13
+
+    def test_orthogonality_lost_on_long_step(self):
+        # the regime the test above covers: a full basis far from orthonormal
+        from quenchsim.propagator import _lanczos
+
+        basis, H = self._k3_chain(10, 2)
+        V = np.empty((30, basis.dim), dtype=np.complex128)
+        V[0] = parse_product_state("0001001000", basis).amplitudes
+        k, _, _, _ = _lanczos(H.matvec, V, 500.0, 1e-10, 0.0)
+        assert k == 30
+        assert np.abs(V.conj() @ V.T - np.eye(30)).max() > 0.1
+
+    def test_short_step_probes_once(self, monkeypatch):
+        from quenchsim import propagator
+
+        basis, H = self._k3_chain(10, 5)
+        psi = parse_product_state("0101010101", basis)
+        counts = {"matvec": 0, "eigh_tridiagonal": 0}
+        eigh_tridiagonal = propagator.sla.eigh_tridiagonal
+
+        def counted_eigh(*args, **kwargs):
+            counts["eigh_tridiagonal"] += 1
+            return eigh_tridiagonal(*args, **kwargs)
+
+        def matvec(v):
+            counts["matvec"] += 1
+            return H.matvec(v)
+
+        monkeypatch.setattr(propagator.sla, "eigh_tridiagonal", counted_eigh)
+        propagator._krylov_expm(matvec, psi.amplitudes, 0.5, 1e-10, 30)
+        # probing at every size from 3 on took 9 eigh_tridiagonal calls
+        # for the same 11 matvecs
+        assert counts["eigh_tridiagonal"] <= 2
+        assert counts["matvec"] <= 11
+
 
 class TestEvolveDriven:
     def _setup(self, L=3, K=3):

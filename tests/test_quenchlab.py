@@ -142,6 +142,15 @@ duration_ns = 5
         cfg = load_config(text)
         assert cfg.initial == ({0: 0.6 + 0j, 1: 0.8 + 0j}, {0: 1 + 0j, 1: 0j})
 
+    # nan/inf loaded and failed only in the first Krylov step
+    @pytest.mark.parametrize("value", ["nan, 1", "inf, 1", "1, nanj"])
+    def test_non_finite_amplitude_rejected(self, value):
+        text = MINIMAL.replace("initial = 01", f"amplitudes_q1 = {value}\namplitudes_q2 = 1, 0")
+        with pytest.raises(ConfigError, match="finite") as err:
+            load_config(text)
+        assert err.value.key == "amplitudes_q1"
+        assert err.value.line == text.splitlines().index(f"amplitudes_q1 = {value}") + 1
+
     def test_amplitudes_and_tokens_conflict(self):
         with pytest.raises(ConfigError, match="not both"):
             load_config(MINIMAL + "\n[state]\namplitudes_q1 = 1, 0\n")
@@ -661,6 +670,19 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "point__coupling_mhz=4.csv").exists()
 
+    def test_preset_sweep_honours_output(self, tmp_path, monkeypatch, capsys):
+        # -o used to be ignored for a preset with sweep axes: the points
+        # landed in the working directory, named after the preset's path
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("QUENCHSIM_OUTDIR", raising=False)
+        monkeypatch.setattr("quenchsim.quenchlab.cli.preset", lambda name: load_config(
+            TestSweep.BASE + "[sweep]\naxis_coupling_mhz = 4, 16\n"))
+        out = tmp_path / "dir" / "out.csv"
+        assert main(["preset", "small", "--run", "-o", str(out)]) == 0
+        assert sorted(os.listdir(tmp_path / "dir")) == [
+            "out__coupling_mhz=16.csv", "out__coupling_mhz=4.csv"]
+        assert sorted(os.listdir(tmp_path)) == ["dir"]
+
     def test_spectrum_cli(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
         rc = main(["spectrum", "-L", "4", "-N", "2", "-K", "3",
@@ -814,6 +836,15 @@ sector = full
         assert main(["run", "-c", str(cfg_path), "-o", str(tmp_path / "o.csv")]) == 3
         assert time.perf_counter() - started < 1.0
         assert "substeps" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_non_finite_amplitude_cli_exit_2(self, tmp_path, capsys):
+        text = MINIMAL.replace("initial = 01", "amplitudes_q1 = nan, 1\namplitudes_q2 = 1, 0")
+        cfg_path = tmp_path / "nan.cfg"
+        cfg_path.write_text(text)
+        assert main(["run", "-c", str(cfg_path), "-o", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "finite" in err and "amplitudes_q1" in err
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("mode,key", [("time-reversal", "forward_ns"),
