@@ -1,15 +1,14 @@
 """Command line interface.
 
 Subcommands: ``run`` a config file, ``preset`` to print or run a named
-figure preset, ``sweep`` a config over parameter axes, and ``spectrum`` for
-number-sector eigenvalues. Exit codes: 0 success, 2 validation error, 3
-numerics or resource error.
+figure preset, and ``spectrum`` for number-sector eigenvalues. A config
+with sweep axes runs every point of its sweep. Exit codes: 0 success, 2
+validation error, 3 numerics or resource error.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from ..analysis import ResourceLimitError
@@ -27,28 +26,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a config file")
+    p_run = sub.add_parser("run", help="run a config file, every point of its sweep")
     p_run.add_argument("-c", "--config", required=True, help="config file path")
-    p_run.add_argument("-o", "--output", help="output file (overrides config)")
+    p_run.add_argument("-o", "--output", help="output file, the config key path")
     p_run.add_argument("--format", choices=("csv", "json"), help="output format override")
+    p_run.add_argument("--axis", action="append", default=[], metavar="key=v1,v2",
+                       help="sweep axis, the config key axis_<key> (repeatable)")
+    p_run.add_argument("-j", "--jobs", type=int, default=None,
+                       help="parallel workers, the config key parallelism")
 
     p_pre = sub.add_parser("preset", help="print or run a figure preset")
     p_pre.add_argument("name", help="preset name (see 'preset list')")
-    group = p_pre.add_mutually_exclusive_group()
-    group.add_argument("--print", action="store_true", dest="do_print",
-                       help="print the preset document (default)")
-    group.add_argument("--run", action="store_true", dest="do_run", help="run the preset")
+    p_pre.add_argument("--run", action="store_true", dest="do_run",
+                       help="run the preset instead of printing it")
     p_pre.add_argument("-o", "--output", help="output file when running")
     p_pre.add_argument("--format", choices=("csv", "json"))
-
-    p_sweep = sub.add_parser("sweep", help="run a cartesian parameter sweep")
-    p_sweep.add_argument("-c", "--config", required=True)
-    p_sweep.add_argument("--axis", action="append", default=[],
-                         metavar="key=v1,v2",
-                         help="sweep axis, the config key axis_<key> (repeatable)")
-    p_sweep.add_argument("-j", "--jobs", type=int, default=None,
-                         help="parallel workers, the config key parallelism")
-    p_sweep.add_argument("-o", "--outdir", help="output directory")
+    p_pre.set_defaults(axis=[], jobs=None)
 
     p_spec = sub.add_parser("spectrum", help="number-sector spectrum of the chain")
     p_spec.add_argument("-L", "--sites", type=int, required=True)
@@ -61,52 +54,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_and_write(config, args, stem: str, sweep: bool = False) -> int:
-    """Apply --format and -o as overrides, run the config, write, print the path.
+def _run(config, args, stem: str) -> int:
+    """Apply the flags as config overrides and run the config as it reads.
 
-    The result goes to -o, else the config's path, else ``<stem>.<format>``.
-    With ``sweep``, a config that has sweep axes runs as a sweep instead, and
-    its point files are named after that path, in its directory.
+    ``-o`` is the key path, ``--format`` format, ``--axis k=v1,v2`` axis_k
+    and ``-j N`` parallelism. The path defaults to ``<stem>.<format>``. A
+    config with sweep axes writes each point beside that path and exits 3
+    if any point failed; one without writes the path.
     """
-    overrides = {"format": args.format, "path": args.output}
-    config = config.with_overrides({k: v for k, v in overrides.items() if v})
-    if sweep and config.sweep_axes:
-        return _report_sweep(config)
-    path = config.output_path or f"{stem}.{config.output_format}"
-    print(f"wrote {write_output(config, run_experiment(config), path)}")
-    return 0
-
-
-def _cmd_run(args) -> int:
-    return _run_and_write(load_config(args.config), args, "run")
-
-
-def _cmd_preset(args) -> int:
-    if args.do_run:
-        return _run_and_write(preset(args.name), args, args.name, sweep=True)
-    sys.stdout.write(preset_text(args.name))
-    return 0
-
-
-def _report_sweep(config, output_dir=None) -> int:
-    """Run a sweep, print each point's output or error; 3 if any point failed."""
-    results = run_sweep(config, output_dir)
-    for r in results:
-        print(f"{r.params} -> {r.path if r.path else f'FAILED: {r.error}'}")
-    return 3 if any(r.error for r in results) else 0
-
-
-def _cmd_sweep(args) -> int:
-    """Apply --axis k=v1,v2 and -j N as the config keys axis_k and parallelism."""
-    overrides = {}
+    fmt = args.format or config.format
+    overrides = {"format": fmt, "path": args.output or config.path or f"{stem}.{fmt}"}
     for pair in args.axis:
         key, _, values = pair.partition("=")
         overrides[f"axis_{key.strip()}"] = values
     if args.jobs is not None:
         overrides["parallelism"] = args.jobs
-    config = load_config(args.config).with_overrides(overrides)
-    print(f"sweep over {math.prod(len(v) for v in config.sweep_axes.values())} point(s)")
-    return _report_sweep(config, args.outdir)
+    config = config.with_overrides(overrides)
+    if not config.sweep_axes:
+        print(f"wrote {write_output(config, run_experiment(config))}")
+        return 0
+    results = run_sweep(config)
+    for r in results:
+        print(f"{r.params} -> {r.path if r.path else f'FAILED: {r.error}'}")
+    return 3 if any(r.error for r in results) else 0
+
+
+def _cmd_run(args) -> int:
+    return _run(load_config(args.config), args, "run")
+
+
+def _cmd_preset(args) -> int:
+    if args.do_run:
+        return _run(preset(args.name), args, args.name)
+    sys.stdout.write(preset_text(args.name))
+    return 0
 
 
 def _cmd_spectrum(args) -> int:
@@ -135,8 +116,6 @@ def main(argv=None) -> int:
             return _cmd_run(args)
         if args.command == "preset":
             return _cmd_preset(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
         return _cmd_spectrum(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,7 +2,7 @@
 
 A document is a sequence of ``[section]`` headers and ``key = value`` lines;
 ``#`` starts a comment. Keys are unique across the whole document and every
-key must belong to its section's schema, so typos fail loudly with a line
+key must belong to its section in ``KEYS``, so typos fail loudly with a line
 number. Frequencies are quoted the way device papers quote them, as
 ``value/2pi`` in MHz.
 """
@@ -10,11 +10,19 @@ number. Frequencies are quoted the way device papers quote them, as
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 import os
 from dataclasses import dataclass, field
 
-from ..fockspace import MAX_LEVELS, check_codes_fit, product_sites
+from ..fockspace import (
+    MAX_BASIS_DIM,
+    MAX_LEVELS,
+    ResourceLimitError,
+    basis_dim,
+    check_codes_fit,
+    product_sites,
+)
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "TABLE_S1_U_MHZ"]
 
@@ -24,40 +32,8 @@ __all__ = ["ConfigError", "ExperimentConfig", "load_config", "TABLE_S1_U_MHZ"]
 TABLE_S1_U_MHZ = (212.0, 264.0, 210.0, 268.0, 212.0, 268.0, 214.0, 264.0, 214.0, 264.0)
 
 MODES = ("time-reversal", "one-direction-compare", "single-run", "spectrum")
-DRIVE_KINDS = ("none", "staggered-odd")
 FORMATS = ("csv", "json")
 OBSERVABLES = ("fidelity", "populations", "pauli", "entropy", "anharmonicity")
-
-# section -> keys allowed there
-SCHEMA = {
-    "lattice": {"sites", "levels"},
-    "profiles": {
-        "coupling_mhz",
-        "anharmonicity_mhz",
-        "transverse_mhz",
-        "coupling_and_field_mhz",
-    },
-    "state": {"initial"},  # plus amplitudes_q<j>, validated dynamically
-    "protocol": {
-        "mode",
-        "forward_ns",
-        "assumed_forward_ns",
-        "duration_ns",
-        "assumed_duration_ns",
-        "drive",
-        "drive_frequency_mhz",
-        "drive_forward_mhz",
-        "drive_backward_mhz",
-        "sector",
-    },
-    "sampling": {"dt_ns", "stroboscopic"},
-    "observables": {"observables"},
-    "spectrum": {"particles"},
-    "output": {"path", "format"},
-    "sweep": {"parallelism"},  # plus axis_<key>, validated dynamically
-}
-
-_KEY_SECTION = {k: s for s, keys in SCHEMA.items() for k in keys}
 
 
 class ConfigError(ValueError):
@@ -74,8 +50,168 @@ class ConfigError(ValueError):
         self.key = key
 
 
+# Value parsers: each takes a value's text and returns its value or raises
+# ValueError; _validate adds the key and its line.
+
+
+def _number(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _numbers(text: str) -> tuple:
+    """A comma list of numbers; per-site keys broadcast a single one."""
+    return tuple(_number(part.strip()) for part in text.split(",") if part.strip())
+
+
+def _time(text: str) -> float:
+    value = _number(text)
+    if value < 0:
+        raise ValueError(f"expected a non-negative time, got {value:g}")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = _number(text)
+    if not value > 0:
+        raise ValueError(f"expected a positive number, got {value:g}")
+    return value
+
+
+def _integer(lo: int, hi: float = math.inf):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"expected an integer, got {text!r}") from None
+        if not lo <= value <= hi:
+            bounds = f"at least {lo}" if hi == math.inf else f"{lo} to {hi}"
+            raise ValueError(f"expected an integer {bounds}, got {value}")
+        return value
+
+    return parse
+
+
+def _flag(text: str) -> bool:
+    low = text.lower()
+    if low in ("true", "yes", "on", "1"):
+        return True
+    if low in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(f"expected true/false, got {text!r}")
+
+
+def _choice(choices: tuple):
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}; got {text!r}")
+        return text
+
+    return parse
+
+
+def _observables(text: str) -> tuple:
+    names = tuple(part.strip().lower() for part in text.split(",") if part.strip())
+    for name in names:
+        if name not in OBSERVABLES:
+            raise ValueError(f"unknown observable {name!r} (choices: {', '.join(OBSERVABLES)})")
+    return names
+
+
+def _anharmonicity(text: str) -> tuple | None:
+    """Non-negative magnitudes, or None for the ``table-s1`` device profile."""
+    if text.lower() == "table-s1":
+        return None
+    values = _numbers(text)
+    if any(u < 0 for u in values):
+        raise ValueError("anharmonicity magnitudes must be non-negative")
+    return values
+
+
+def _tokens(text: str) -> str:
+    """A digit or ``+`` per site; _validate fits them to the lattice."""
+    unknown = set(text) - set("+0123456789")
+    if unknown:
+        raise ValueError(f"unknown tokens {''.join(sorted(unknown))!r} in {text!r}")
+    return text
+
+
+def _amplitude_pair(text: str) -> dict:
+    """``amp0, amp1``: the complex amplitudes of levels 0 and 1 of one site."""
+    parts = [part.strip() for part in text.split(",")]
+    if len(parts) != 2:
+        raise ValueError("expected 'amp0, amp1'")
+    try:
+        pair = {0: complex(parts[0]), 1: complex(parts[1])}
+    except ValueError:
+        raise ValueError(f"bad complex amplitude {text!r}") from None
+    if not all(cmath.isfinite(amp) for amp in pair.values()):
+        raise ValueError(f"expected finite amplitudes, got {text!r}")
+    return pair
+
+
+# Every document key: key -> (section, parser, default). Two families add
+# keys by prefix: amplitudes_q<j> in [state], the level-0/1 amplitudes of
+# site j, and axis_<key> in [sweep], comma-separated values of <key> to
+# sweep over.
+KEYS = {
+    "sites": ("lattice", _integer(1), None),
+    "levels": ("lattice", _integer(2, MAX_LEVELS), 3),
+    "coupling_mhz": ("profiles", _numbers, (10.8,)),
+    "anharmonicity_mhz": ("profiles", _anharmonicity, None),
+    "transverse_mhz": ("profiles", _numbers, (0.0,)),
+    "coupling_and_field_mhz": ("profiles", _numbers, None),
+    "initial": ("state", _tokens, None),
+    "mode": ("protocol", _choice(MODES), "single-run"),
+    "forward_ns": ("protocol", _time, None),
+    "assumed_forward_ns": ("protocol", _time, None),
+    "duration_ns": ("protocol", _time, None),
+    "assumed_duration_ns": ("protocol", _time, None),
+    "drive_frequency_mhz": ("protocol", _positive, None),
+    "drive_forward_mhz": ("protocol", _number, None),
+    "drive_backward_mhz": ("protocol", _number, None),
+    "dt_ns": ("sampling", _positive, 1.0),
+    "stroboscopic": ("sampling", _flag, False),
+    "observables": ("observables", _observables, ("fidelity", "populations")),
+    "particles": ("spectrum", _integer(0), None),
+    "path": ("output", str, None),
+    "format": ("output", _choice(FORMATS), "csv"),
+    "parallelism": ("sweep", _integer(1), 1),
+}
+
+
+def _axis(parse):
+    def parse_axis(text: str) -> list:
+        values = [part.strip() for part in text.split(",") if part.strip()]
+        if not values:
+            raise ValueError("empty axis")
+        for value in values:
+            parse(value)
+        return values
+
+    return parse_axis
+
+
+def _entry(key: str) -> tuple | None:
+    """The (section, parser, default) of a key, family members included."""
+    if key in KEYS:
+        return KEYS[key]
+    if key.startswith("amplitudes_q"):
+        return "state", _amplitude_pair, None
+    target = KEYS.get(key.removeprefix("axis_")) if key.startswith("axis_") else None
+    if target is not None and target[0] != "sweep":
+        return "sweep", _axis(target[1]), None
+    return None
+
+
 def _parse_document(text: str) -> dict:
     """Text -> ordered {key: (value, line)} map, section-checked."""
+    sections = {section for section, _, _ in KEYS.values()}
     entries: dict[str, tuple[str, int]] = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -84,7 +220,7 @@ def _parse_document(text: str) -> dict:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
-            if section not in SCHEMA:
+            if section not in sections:
                 raise ConfigError(f"unknown section [{section}]", line=lineno)
             continue
         if "=" not in line:
@@ -93,12 +229,8 @@ def _parse_document(text: str) -> dict:
             raise ConfigError("key outside any [section]", line=lineno)
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.lower()
-        ok = (
-            key in SCHEMA[section]
-            or (section == "state" and key.startswith("amplitudes_q"))
-            or (section == "sweep" and key.startswith("axis_"))
-        )
-        if not ok:
+        entry = _entry(key)
+        if entry is None or entry[0] != section:
             raise ConfigError(f"unknown key in [{section}]", line=lineno, key=key)
         if key in entries:
             raise ConfigError("duplicate key", line=lineno, key=key)
@@ -106,96 +238,17 @@ def _parse_document(text: str) -> dict:
     return entries
 
 
-def _want_float(entries, key, default=None):
-    if key not in entries:
-        return default
-    value, line = entries[key]
-    try:
-        out = float(value)
-    except ValueError:
-        raise ConfigError(f"expected a number, got {value!r}", line=line, key=key) from None
-    if not math.isfinite(out):
-        raise ConfigError(f"expected a finite number, got {value!r}", line=line, key=key)
-    return out
-
-
-def _want_time(entries, key):
-    """A non-negative time from key, else from assumed_<key>; None if neither."""
-    for name in (key, f"assumed_{key}"):
-        value = _want_float(entries, name)
-        if value is not None:
-            if value < 0:
-                raise ConfigError(f"expected a non-negative time, got {value:g}", key=name)
-            return value
-    return None
-
-
-def _want_int(entries, key, default=None):
-    if key not in entries:
-        return default
-    value, line = entries[key]
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"expected an integer, got {value!r}", line=line, key=key) from None
-
-
-def _want_bool(entries, key, default=False):
-    if key not in entries:
-        return default
-    value, line = entries[key]
-    low = value.lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"expected true/false, got {value!r}", line=line, key=key)
-
-
-def _want_choice(entries, key, choices, default):
-    if key not in entries:
-        return default
-    value, line = entries[key]
-    if value not in choices:
-        raise ConfigError(
-            f"expected one of {', '.join(choices)}; got {value!r}", line=line, key=key
-        )
-    return value
-
-
-def _float_list(entries, key, n, default_scalar=None, keywords=()):
-    """Parse a scalar (broadcast to n) or a comma list of exactly n floats."""
-    if key not in entries:
-        if default_scalar is None:
-            return None
-        return (float(default_scalar),) * n
-    value, line = entries[key]
-    if value.lower() in keywords:
-        return value.lower()
-    parts = [p.strip() for p in value.split(",") if p.strip()]
-    try:
-        vals = tuple(float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"expected numbers, got {value!r}", line=line, key=key) from None
-    if not all(math.isfinite(v) for v in vals):
-        raise ConfigError(f"expected finite numbers, got {value!r}", line=line, key=key)
-    if len(vals) == 1:
-        return vals * n
-    if len(vals) != n:
-        raise ConfigError(f"expected 1 or {n} values, got {len(vals)}", line=line, key=key)
-    return vals
-
-
 @dataclass
 class ExperimentConfig:
     """Validated parameters for one experiment run.
 
-    Produced by load_config; fields mirror the document keys with profile
+    Produced by load_config; fields carry their key's name, with profile
     lists broadcast to full length and frequencies kept in the quoted
     value/2pi MHz convention (conversion to angular units happens when
     operators are built). ``initial`` holds one ``{level: amplitude}`` map
-    per site, as build_product_state takes it; ``sweep_axes`` and
-    ``parallelism`` describe the sweep that run_sweep runs.
+    per site, as build_product_state takes it. A drive exists exactly when
+    ``drive_forward_mhz`` is set. ``sweep_axes`` and ``parallelism``
+    describe the sweep that run_sweep runs.
     """
 
     sites: int
@@ -207,19 +260,17 @@ class ExperimentConfig:
     mode: str
     forward_ns: float | None
     duration_ns: float | None
-    drive_kind: str
     drive_frequency_mhz: float | None
     drive_forward_mhz: float | None
     drive_backward_mhz: float | None
-    sector: str
     dt_ns: float
     stroboscopic: bool
     observables: tuple
-    spectrum_particles: int | None
-    output_path: str | None
-    output_format: str
+    particles: int | None
+    path: str | None
+    format: str
+    parallelism: int
     sweep_axes: dict = field(default_factory=dict)
-    parallelism: int = 1
     raw: dict = field(default_factory=dict)
     source_text: str = ""
 
@@ -227,189 +278,159 @@ class ExperimentConfig:
         """Revalidate with key -> value-string overrides applied.
 
         Keys are those of a document, ``amplitudes_q<j>`` and
-        ``axis_<key>`` (comma-separated values) included.
+        ``axis_<key>`` (comma-separated values) included. An error in an
+        overridden value carries no line number.
         """
-        raw = {k: v for k, (v, _) in self.raw.items()}
+        entries = dict(self.raw)
         for key, value in overrides.items():
             key = key.lower()
-            if key not in _KEY_SECTION and not key.startswith(("amplitudes_q", "axis_")):
+            if _entry(key) is None:
                 raise ConfigError("unknown override key", key=key)
-            raw[key] = str(value)
-        entries = {k: (v, 0) for k, v in raw.items()}
+            entries[key] = (str(value), None)
         return _validate(entries, source_text=self.source_text)
 
 
+# ExperimentConfig fields named after a key take that key's parsed value.
+_KEY_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name in KEYS]
+
+
+def _number_range(config: ExperimentConfig) -> tuple[int, int]:
+    """Smallest and largest total occupation a trajectory run reaches.
+
+    A transverse field changes the total, so the run needs all of them.
+    Every other term conserves it, and the run stays on the totals its
+    initial product state spans: each site adds its lowest and its highest
+    level of nonzero amplitude.
+    """
+    if any(v != 0 for v in config.transverse_mhz):
+        return 0, config.sites * (config.levels - 1)
+    lo = hi = 0
+    for site in config.initial:
+        live = [lvl for lvl, a in site.items() if a != 0]
+        lo += min(live, default=0)
+        hi += max(live, default=0)
+    return lo, hi
+
+
+def _pick_sector(config: ExperimentConfig) -> int | range | None:
+    """The basis sector of a trajectory run: None (full), N or a range of N."""
+    lo, hi = _number_range(config)
+    if (lo, hi) == (0, config.sites * (config.levels - 1)):
+        return None
+    return lo if lo == hi else range(lo, hi + 1)
+
+
 def _validate(entries: dict, source_text: str = "") -> ExperimentConfig:
-    sites = _want_int(entries, "sites")
+    """{key: (value text, line or None)} -> ExperimentConfig, or ConfigError."""
+    values = {key: default for key, (_, _, default) in KEYS.items()}
+    for key, (text, line) in entries.items():
+        try:
+            values[key] = _entry(key)[1](text)
+        except ValueError as exc:
+            raise ConfigError(str(exc), line=line, key=key) from None
+
+    def error(key: str, message: str) -> ConfigError:
+        return ConfigError(message, line=entries.get(key, (None, None))[1], key=key)
+
+    def per_site(key: str, n: int) -> tuple:
+        """The key's values, one broadcast to n or exactly n of them."""
+        vals = values[key]
+        if len(vals) == 1:
+            return vals * n
+        if len(vals) != n:
+            expected = "one value" if n <= 1 else f"1 or {n} values"
+            raise error(key, f"expected {expected}, got {len(vals)}")
+        return vals
+
+    sites, levels = values["sites"], values["levels"]
     if sites is None:
-        raise ConfigError("missing required key", key="sites")
-    if sites < 1:
-        raise ConfigError(f"need at least one site, got {sites}", key="sites")
-    levels = _want_int(entries, "levels", 3)
-    if not 2 <= levels <= MAX_LEVELS:
-        raise ConfigError(f"need 2 to {MAX_LEVELS} levels, got {levels}", key="levels")
+        raise error("sites", "missing required key")
     check_codes_fit(sites, levels)  # before any list of `sites` entries
 
-    both = _float_list(entries, "coupling_and_field_mhz", 1)
-    coupling = _float_list(entries, "coupling_mhz", max(sites - 1, 1), default_scalar=10.8)
-    transverse = _float_list(entries, "transverse_mhz", sites, default_scalar=0.0)
-    if both is not None:
-        coupling = (both[0],) * max(sites - 1, 1)
-        transverse = (both[0],) * sites
-    if sites == 1:
-        coupling = ()
-    elif len(coupling) != sites - 1:
-        raise ConfigError(
-            f"coupling needs {sites - 1} bond values, got {len(coupling)}",
-            key="coupling_mhz",
+    if values["coupling_and_field_mhz"] is not None:
+        for key in ("coupling_mhz", "transverse_mhz"):
+            if key in entries:
+                raise error(key, "give either coupling_and_field_mhz or this key, not both")
+        values["coupling_mhz"] = values["transverse_mhz"] = per_site("coupling_and_field_mhz", 1)
+    values["coupling_mhz"] = per_site("coupling_mhz", sites - 1)
+    values["transverse_mhz"] = per_site("transverse_mhz", sites)
+    if values["anharmonicity_mhz"] is None:
+        values["anharmonicity_mhz"] = tuple(
+            TABLE_S1_U_MHZ[j % len(TABLE_S1_U_MHZ)] for j in range(sites)
         )
-    anh = _float_list(
-        entries, "anharmonicity_mhz", sites, default_scalar=None, keywords=("table-s1",)
-    )
-    if anh is None or anh == "table-s1":
-        anh = tuple(TABLE_S1_U_MHZ[j % len(TABLE_S1_U_MHZ)] for j in range(sites))
-    if any(u < 0 for u in anh):
-        raise ConfigError("anharmonicity magnitudes must be non-negative", key="anharmonicity_mhz")
+    else:
+        values["anharmonicity_mhz"] = per_site("anharmonicity_mhz", sites)
 
     # Initial state: per-site {level: amplitude} maps, from a token string
     # or from amplitude pairs of levels 0 and 1.
-    amp_keys = sorted(k for k in entries if k.startswith("amplitudes_q"))
-    initial = None
-    if "initial" in entries:
+    amp_keys = [k for k in entries if k.startswith("amplitudes_q")]
+    if values["initial"] is not None:
         if amp_keys:
-            raise ConfigError("give either initial tokens or amplitude pairs, not both",
-                              key="initial")
-        value, line = entries["initial"]
+            raise error("initial", "give either initial tokens or amplitude pairs, not both")
         try:
-            initial = product_sites(value, sites, levels)
+            values["initial"] = product_sites(values["initial"], sites, levels)
         except ValueError as exc:
-            raise ConfigError(str(exc), line=line, key="initial") from None
+            raise error("initial", str(exc)) from None
     elif amp_keys:
-        pairs: list[dict[int, complex]] = []
-        for j in range(1, sites + 1):
-            key = f"amplitudes_q{j}"
-            if key not in entries:
-                raise ConfigError(f"missing {key} (sites are 1..{sites})", key=key)
-            value, line = entries[key]
-            parts = [p.strip() for p in value.split(",")]
-            if len(parts) != 2:
-                raise ConfigError("expected 'amp0, amp1'", line=line, key=key)
-            try:
-                pair = {0: complex(parts[0]), 1: complex(parts[1])}
-            except ValueError:
-                raise ConfigError(f"bad complex amplitude {value!r}", line=line, key=key) from None
-            if not all(cmath.isfinite(amp) for amp in pair.values()):
-                raise ConfigError(f"expected finite amplitudes, got {value!r}", line=line, key=key)
-            pairs.append(pair)
-        for k in amp_keys:
-            suffix = k.removeprefix("amplitudes_q")
+        for key in amp_keys:
+            suffix = key.removeprefix("amplitudes_q")
             if not suffix.isdigit() or not 1 <= int(suffix) <= sites:
-                raise ConfigError("amplitude pair for a site beyond the chain", key=k)
-        initial = tuple(pairs)
+                raise error(key, "amplitude pair for a site beyond the chain")
+        pairs = [f"amplitudes_q{j}" for j in range(1, sites + 1)]
+        for key in pairs:
+            if key not in values:
+                raise error(key, f"missing {key} (sites are 1..{sites})")
+        values["initial"] = tuple(values[key] for key in pairs)
 
-    mode = _want_choice(entries, "mode", MODES, "single-run")
-    forward = _want_time(entries, "forward_ns")
-    duration = _want_time(entries, "duration_ns")
+    mode = values["mode"]
+    for key in ("forward_ns", "duration_ns"):
+        if values[key] is None:
+            values[key] = values[f"assumed_{key}"]
 
-    drive_kind = _want_choice(entries, "drive", DRIVE_KINDS, "none")
-    drive_freq = _want_float(entries, "drive_frequency_mhz")
-    drive_fwd = _want_float(entries, "drive_forward_mhz")
-    drive_bwd = _want_float(entries, "drive_backward_mhz")
-    driven = drive_kind != "none"
-    if driven:
-        if drive_freq is None or not drive_freq > 0:
-            raise ConfigError("driven protocols need drive_frequency_mhz > 0",
-                              key="drive_frequency_mhz")
-        if drive_fwd is None:
-            raise ConfigError("staggered-odd drive needs drive_forward_mhz",
-                              key="drive_forward_mhz")
-
-    sector = _want_choice(entries, "sector", ("auto", "full"), "auto")
-
-    dt_ns = _want_float(entries, "dt_ns", 1.0)
-    if not dt_ns > 0:
-        raise ConfigError("dt_ns must be positive", key="dt_ns")
-    strobo = _want_bool(entries, "stroboscopic")
-    if strobo and not driven:
-        raise ConfigError("stroboscopic sampling requires a drive", key="stroboscopic")
-
-    if "observables" in entries:
-        value, line = entries["observables"]
-        obs = tuple(p.strip().lower() for p in value.split(",") if p.strip())
-        for o in obs:
-            if o not in OBSERVABLES:
-                raise ConfigError(
-                    f"unknown observable {o!r} (choices: {', '.join(OBSERVABLES)})",
-                    line=line, key="observables",
-                )
-    else:
-        obs = ("fidelity", "populations")
-
-    particles = _want_int(entries, "particles")
+    driven = values["drive_forward_mhz"] is not None
+    if not driven:
+        for key in ("drive_frequency_mhz", "drive_backward_mhz"):
+            if key in entries:
+                raise error(key, "a drive needs drive_forward_mhz")
+    elif values["drive_frequency_mhz"] is None:
+        raise error("drive_frequency_mhz", "a drive needs drive_frequency_mhz")
+    if values["stroboscopic"] and not driven:
+        raise error("stroboscopic", "stroboscopic sampling requires a drive")
 
     # Mode-specific requirements.
-    if mode == "time-reversal" and forward is None:
-        raise ConfigError("time-reversal mode needs forward_ns (or assumed_forward_ns)",
-                          key="forward_ns")
-    if mode in ("single-run", "one-direction-compare") and duration is None:
-        raise ConfigError(f"{mode} mode needs duration_ns (or assumed_duration_ns)",
-                          key="duration_ns")
-    if mode == "time-reversal" and driven and drive_bwd is None:
-        raise ConfigError(
-            "driven time reversal needs drive_backward_mhz", key="drive_backward_mhz"
-        )
+    if mode == "time-reversal" and values["forward_ns"] is None:
+        raise error("forward_ns", "time-reversal mode needs forward_ns (or assumed_forward_ns)")
+    if mode in ("single-run", "one-direction-compare") and values["duration_ns"] is None:
+        raise error("duration_ns", f"{mode} mode needs duration_ns (or assumed_duration_ns)")
+    if mode == "time-reversal" and driven and values["drive_backward_mhz"] is None:
+        raise error("drive_backward_mhz", "driven time reversal needs drive_backward_mhz")
     if mode == "one-direction-compare" and driven:
-        raise ConfigError("one-direction-compare does not support a drive", key="drive")
+        raise error("drive_forward_mhz", "one-direction-compare does not support a drive")
     if mode == "spectrum":
+        particles = values["particles"]
         if particles is None:
-            raise ConfigError("spectrum mode needs [spectrum] particles", key="particles")
-        if not 0 <= particles <= sites * (levels - 1):
-            raise ConfigError(f"particles {particles} outside the chain's range",
-                              key="particles")
-    if mode != "spectrum" and initial is None:
-        raise ConfigError("missing initial state", key="initial")
+            raise error("particles", "spectrum mode needs [spectrum] particles")
+        if particles > sites * (levels - 1):
+            raise error("particles", f"particles {particles} outside the chain's range")
+    elif values["initial"] is None:
+        raise error("initial", "missing initial state")
 
-    axes = {}
-    for key in entries:
-        if key.startswith("axis_"):
-            target = key.removeprefix("axis_")
-            if target not in _KEY_SECTION or _KEY_SECTION[target] == "sweep":
-                raise ConfigError("axis does not refer to a config key", key=key)
-            value, line = entries[key]
-            values = [p.strip() for p in value.split(",") if p.strip()]
-            if not values:
-                raise ConfigError("empty axis", line=line, key=key)
-            axes[target] = values
-    parallelism = _want_int(entries, "parallelism", 1)
-    if parallelism < 1:
-        raise ConfigError("parallelism must be at least 1", key="parallelism")
-
-    return ExperimentConfig(
-        sites=sites,
-        levels=levels,
-        coupling_mhz=tuple(coupling),
-        anharmonicity_mhz=tuple(anh),
-        transverse_mhz=tuple(transverse),
-        initial=initial,
-        mode=mode,
-        forward_ns=forward,
-        duration_ns=duration,
-        drive_kind=drive_kind,
-        drive_frequency_mhz=drive_freq,
-        drive_forward_mhz=drive_fwd,
-        drive_backward_mhz=drive_bwd,
-        sector=sector,
-        dt_ns=dt_ns,
-        stroboscopic=strobo,
-        observables=obs,
-        spectrum_particles=particles,
-        output_path=entries.get("path", (None, None))[0],
-        output_format=_want_choice(entries, "format", FORMATS, "csv"),
-        sweep_axes=axes,
-        parallelism=parallelism,
+    config = ExperimentConfig(
+        **{key: values[key] for key in _KEY_FIELDS},
+        sweep_axes={k.removeprefix("axis_"): v for k, v in values.items()
+                    if k.startswith("axis_")},
         raw=dict(entries),
         source_text=source_text,
     )
+    if mode != "spectrum":
+        lo, hi = _number_range(config)
+        dim = basis_dim(sites, levels, lo, hi)
+        if dim > MAX_BASIS_DIM:
+            raise ResourceLimitError(
+                f"the run's basis (L={sites}, K={levels}, N={lo}..{hi}) has {dim} states, "
+                f"above the cap of {MAX_BASIS_DIM}"
+            )
+    return config
 
 
 def load_config(source) -> ExperimentConfig:

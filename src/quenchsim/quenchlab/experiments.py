@@ -23,17 +23,14 @@ from ..analysis import (
 from ..fockspace import build_basis, build_product_state
 from ..operators import AnharmonicityProfile, CouplingProfile, DriveSpec, TransverseProfile
 from ..propagator import Protocol, Segment, reverse_of, run_protocol
-from .config import ExperimentConfig
+from .config import ExperimentConfig, _pick_sector
 from .records import default_output_dir, write_records, write_spectrum
 
 __all__ = ["run_experiment", "run_sweep", "write_output"]
 
 
 def _profiles(config: ExperimentConfig):
-    if config.sites > 1:
-        coupling = CouplingProfile.from_mhz(config.coupling_mhz)
-    else:
-        coupling = CouplingProfile(())
+    coupling = CouplingProfile.from_mhz(config.coupling_mhz)
     anh = AnharmonicityProfile.from_mhz(config.anharmonicity_mhz)
     trans = TransverseProfile.from_mhz(config.transverse_mhz)
     return coupling, anh, trans
@@ -41,7 +38,7 @@ def _profiles(config: ExperimentConfig):
 
 def _drive_specs(config: ExperimentConfig):
     """(forward drive, backward drive) or (None, None) when undriven."""
-    if config.drive_kind == "none":
+    if config.drive_forward_mhz is None:
         return None, None
     nu = config.drive_frequency_mhz
     fwd = DriveSpec.staggered_odd(config.sites, config.drive_forward_mhz, nu)
@@ -49,31 +46,6 @@ def _drive_specs(config: ExperimentConfig):
     if config.drive_backward_mhz is not None:
         bwd = DriveSpec.staggered_odd(config.sites, config.drive_backward_mhz, nu)
     return fwd, bwd
-
-
-def _number_range(config: ExperimentConfig) -> tuple[int, int]:
-    """Smallest and largest total occupation the initial product state spans.
-
-    Each site adds its lowest and its highest level of nonzero amplitude.
-    """
-    lo = hi = 0
-    for site in config.initial:
-        live = [lvl for lvl, a in site.items() if a != 0]
-        lo += min(live, default=0)
-        hi += max(live, default=0)
-    return lo, hi
-
-
-def _pick_sector(config: ExperimentConfig) -> int | range | None:
-    """The basis sector of a trajectory run: None (full), N or a range of N.
-
-    On ``auto`` a number-conserving run evolves on the totals its initial
-    state spans; a transverse field needs the full basis.
-    """
-    if config.sector == "full" or any(v != 0 for v in config.transverse_mhz):
-        return None
-    lo, hi = _number_range(config)
-    return lo if lo == hi else range(lo, hi + 1)
 
 
 def _observer(config: ExperimentConfig, psi0=None):
@@ -124,7 +96,7 @@ def run_experiment(config: ExperimentConfig):
     coupling, anh, trans = _profiles(config)
     if config.mode == "spectrum":
         return sector_spectrum(
-            config.sites, config.spectrum_particles, config.levels, coupling, anh
+            config.sites, config.particles, config.levels, coupling, anh
         )
 
     sector = _pick_sector(config)
@@ -163,7 +135,7 @@ def write_output(config: ExperimentConfig, result, path=None) -> str:
     directory is created. Returns the path written.
     """
     if path is None:
-        path = config.output_path
+        path = config.path
     if path is None:
         raise ValueError("no output path configured")
     path = os.fspath(path)
@@ -171,9 +143,9 @@ def write_output(config: ExperimentConfig, result, path=None) -> str:
         path = os.path.join(default_output_dir(), path)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     if isinstance(result, SpectrumReport):
-        write_spectrum(result, path, config.output_format)
+        write_spectrum(result, path, config.format)
     else:
-        write_records(result, path, config.output_format, sites=config.sites)
+        write_records(result, path, config.format, sites=config.sites)
     return path
 
 
@@ -199,42 +171,32 @@ def _run_point(base: ExperimentConfig, params: dict, out_path: str) -> str:
     return write_output(config, run_experiment(config), out_path)
 
 
-def _result(params: dict, path: str, run) -> SweepResult:
-    """Call run() and report the point as written, or with its error."""
+def _result(params: dict, run) -> SweepResult:
+    """Call run() and report the path it wrote, or its error."""
     try:
-        run()
+        return SweepResult(params, run())
     except Exception as exc:  # noqa: BLE001 - reported per point
         return SweepResult(params, None, error=str(exc))
-    return SweepResult(params, path)
 
 
-def run_sweep(config: ExperimentConfig, output_dir=None) -> list:
+def run_sweep(config: ExperimentConfig) -> list:
     """Run every point of the config's sweep, one output file per point.
 
     The points are the cartesian product of ``config.sweep_axes`` (a config
     without axes is one point) and run on a bounded pool of
-    ``config.parallelism`` worker processes. Files go to ``output_dir``,
-    else the directory of the config's path, and their names embed the axis
-    values, so identical sweeps land on identical names. Returns a
+    ``config.parallelism`` worker processes. Each point is written beside
+    the config's path (default ``sweep.<format>``), with the axis values in
+    its name, so identical sweeps land on identical names. Returns a
     SweepResult per point in deterministic grid order; a failing point is
     reported in its SweepResult rather than aborting the sweep.
     """
-    stem = "sweep"
-    if config.output_path:
-        stem = os.path.splitext(os.path.basename(config.output_path))[0]
-    out_dir = output_dir or (
-        os.path.dirname(config.output_path) if config.output_path else None
-    ) or default_output_dir()
-
+    stem = os.path.splitext(config.path or "sweep")[0]
     axes = config.sweep_axes
     grid = [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
-    jobs = [
-        (params, os.path.join(out_dir, _point_name(stem, params, config.output_format)))
-        for params in grid
-    ]
+    jobs = [(params, _point_name(stem, params, config.format)) for params in grid]
     if config.parallelism == 1 or len(jobs) <= 1:
-        return [_result(params, path, lambda: _run_point(config, params, path))
+        return [_result(params, lambda: _run_point(config, params, path))
                 for params, path in jobs]
     with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
         futures = [pool.submit(_run_point, config, params, path) for params, path in jobs]
-        return [_result(params, path, fut.result) for (params, path), fut in zip(jobs, futures)]
+        return [_result(params, fut.result) for params, fut in zip(grid, futures)]

@@ -45,7 +45,6 @@ initial = 0001001000           # psi1; sweep axis covers psi1..psi5
 [protocol]
 mode = time-reversal
 assumed_forward_ns = 400       # axis read: 48 drive periods forward
-drive = staggered-odd
 drive_frequency_mhz = 120
 drive_forward_mhz = 213.6
 drive_backward_mhz = 400

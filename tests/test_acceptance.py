@@ -68,10 +68,9 @@ def table_profiles(J_mhz, sites=L):
 
 def two_forward_fidelity(tokens, J_mhz, t_ns):
     """Overlap of states evolved under hopping +- interaction (echo picture)."""
-    if all(c in "01" for c in tokens):
-        basis = build_basis(L, 3, sector=sum(int(c) for c in tokens))
-    else:
-        basis = build_basis(L, 3)
+    # both Hamiltonians conserve N: each '+' adds 0 or 1 to the '1' count
+    ones, plus = tokens.count("1"), tokens.count("+")
+    basis = build_basis(L, 3, sector=range(ones, ones + plus + 1))
     cp, up = table_profiles(J_mhz)
     H0 = build_hopping(basis, cp)
     HU = build_onsite_anharmonicity(basis, up)

@@ -24,6 +24,7 @@ from quenchsim.quenchlab import (
     write_records,
     write_spectrum,
 )
+from quenchsim.quenchlab import experiments
 from quenchsim.quenchlab.cli import main
 from quenchsim.quenchlab.experiments import _pick_sector
 
@@ -69,7 +70,7 @@ class TestLoadConfig:
         assert cfg.mode == "single-run" and cfg.duration_ns == 20
         assert cfg.coupling_mhz == (10.8,)
         assert cfg.anharmonicity_mhz == (212.0, 264.0)  # device table, first two
-        assert cfg.dt_ns == 1.0 and cfg.output_format == "csv"
+        assert cfg.dt_ns == 1.0 and cfg.format == "csv"
         assert cfg.observables == ("fidelity", "populations")
 
     def test_from_path(self, tmp_path):
@@ -160,6 +161,56 @@ duration_ns = 5
         assert cfg.coupling_mhz == (7.0,)
         assert cfg.transverse_mhz == (7.0, 7.0)
 
+    # coupling_and_field_mhz used to override both keys silently
+    @pytest.mark.parametrize("key", ["coupling_mhz", "transverse_mhz"])
+    def test_coupling_and_field_conflicts(self, key):
+        text = MINIMAL + f"\n[profiles]\ncoupling_and_field_mhz = 7\n{key} = 3\n"
+        with pytest.raises(ConfigError, match="not both") as err:
+            load_config(text)
+        assert err.value.key == key
+        assert err.value.line == text.splitlines().index(f"{key} = 3") + 1
+
+    def test_coupling_and_field_takes_one_value(self):
+        with pytest.raises(ConfigError, match="expected one value, got 2"):
+            load_config(MINIMAL + "\n[profiles]\ncoupling_and_field_mhz = 4, 16\n")
+
+    # drive keys without drive_forward_mhz used to load and run undriven
+    @pytest.mark.parametrize("key", ["drive_frequency_mhz", "drive_backward_mhz"])
+    def test_drive_keys_need_forward_amplitude(self, key):
+        text = MINIMAL.replace("duration_ns = 20", f"duration_ns = 20\n{key} = 120")
+        with pytest.raises(ConfigError, match="drive_forward_mhz") as err:
+            load_config(text)
+        assert err.value.key == key
+        assert err.value.line == text.splitlines().index(f"{key} = 120") + 1
+
+    def test_drive_forward_amplitude_turns_drive_on(self):
+        text = MINIMAL.replace("duration_ns = 20", "duration_ns = 20\ndrive_forward_mhz = 200")
+        with pytest.raises(ConfigError, match="drive_frequency_mhz"):
+            load_config(text)
+        cfg = load_config(text + "drive_frequency_mhz = 120\n")
+        assert cfg.drive_forward_mhz == 200.0 and cfg.drive_frequency_mhz == 120.0
+
+    # axis values used to load and fail one point at a time when run
+    def test_bad_axis_value_fails_at_load(self):
+        text = MINIMAL + "\n[sweep]\naxis_dt_ns = 2, abc, -1\n"
+        with pytest.raises(ConfigError, match="expected a number") as err:
+            load_config(text)
+        assert err.value.key == "axis_dt_ns"
+        assert err.value.line == len(text.splitlines())
+        with pytest.raises(ConfigError, match="positive") as err:
+            load_config(MINIMAL).with_overrides({"axis_dt_ns": "2, -1"})
+        assert err.value.key == "axis_dt_ns"
+        with pytest.raises(ConfigError, match="unknown tokens 'x'") as err:
+            load_config(MINIMAL).with_overrides({"axis_initial": "01, 0x"})
+        assert err.value.key == "axis_initial"
+
+    def test_range_error_reports_line(self):
+        text = MINIMAL + "\n[sampling]\ndt_ns = -1\n"
+        with pytest.raises(ConfigError, match="positive") as err:
+            load_config(text)
+        assert err.value.key == "dt_ns"
+        assert err.value.line == len(text.splitlines())
+
     def test_sweep_axis_must_reference_key(self):
         with pytest.raises(ConfigError, match="axis"):
             load_config(MINIMAL + "\n[sweep]\naxis_bogus = 1, 2\n")
@@ -186,8 +237,7 @@ duration_ns = 5
     def test_driven_reversal_needs_backward_amplitude(self):
         text = MINIMAL.replace("mode = single-run\nduration_ns = 20",
                                "mode = time-reversal\nforward_ns = 20\n"
-                               "drive = staggered-odd\ndrive_frequency_mhz = 120\n"
-                               "drive_forward_mhz = 213.6")
+                               "drive_frequency_mhz = 120\ndrive_forward_mhz = 213.6")
         with pytest.raises(ConfigError, match="drive_backward_mhz") as err:
             load_config(text)
         assert err.value.key == "drive_backward_mhz"
@@ -196,8 +246,10 @@ duration_ns = 5
     @pytest.mark.parametrize("extra,match", [
         ("[protocol]\ndrive_pattern_mhz = 100, 0\ndrive_frequency_mhz = 120", "unknown key"),
         ("[meta]\ncomment = note", "unknown section"),
-        ("[protocol]\nsector = 1", "auto, full"),
-    ], ids=["drive_pattern_mhz", "meta_comment", "integer_sector"])
+        ("[protocol]\nsector = 1", "unknown key"),
+        ("[protocol]\nsector = full", "unknown key"),
+        ("[protocol]\ndrive = staggered-odd", "unknown key"),
+    ], ids=["drive_pattern_mhz", "meta_comment", "integer_sector", "sector_key", "drive_key"])
     def test_removed_values_rejected(self, extra, match):
         with pytest.raises(ConfigError, match=match):
             load_config(MINIMAL + "\n" + extra + "\n")
@@ -208,6 +260,13 @@ duration_ns = 5
             cfg.with_overrides({"initial": "0"})
         cfg2 = cfg.with_overrides({"duration_ns": "7"})
         assert cfg2.duration_ns == 7.0
+
+    # override errors used to say "line 0"
+    def test_override_error_has_no_line(self):
+        with pytest.raises(ConfigError, match="expected a number") as err:
+            load_config(MINIMAL).with_overrides({"dt_ns": "abc"})
+        assert err.value.line is None and err.value.key == "dt_ns"
+        assert "line" not in str(err.value)
 
 
 class TestPresets:
@@ -295,7 +354,6 @@ initial = 0110
 [protocol]
 mode = time-reversal
 forward_ns = 50
-drive = staggered-odd
 drive_frequency_mhz = 120
 drive_forward_mhz = {forward_mhz}
 drive_backward_mhz = 400
@@ -417,7 +475,7 @@ dt_ns = 20
         assert records[-1].fidelity == pytest.approx(expected, abs=1e-10)
         assert 0.0 < expected < 0.999  # the field and the third level both act
 
-    def test_sector_auto_and_full_agree(self):
+    def test_sector_auto_and_full_agree(self, monkeypatch):
         base = """
 [lattice]
 sites = 4
@@ -431,7 +489,8 @@ duration_ns = 30
 observables = populations, anharmonicity
 """
         rec_auto = run_experiment(load_config(base))
-        rec_full = run_experiment(load_config(base).with_overrides({"sector": "full"}))
+        monkeypatch.setattr(experiments, "_pick_sector", lambda config: None)
+        rec_full = run_experiment(load_config(base))
         np.testing.assert_allclose(
             rec_auto[-1].populations, rec_full[-1].populations, atol=1e-9
         )
@@ -439,9 +498,8 @@ observables = populations, anharmonicity
     def test_transverse_forces_full_basis(self):
         text = MINIMAL + "\n[profiles]\ntransverse_mhz = 5\n"
         cfg = load_config(text)
-        with pytest.raises(ConfigError):
-            cfg.with_overrides({"sector": "1"})
-        records = run_experiment(cfg)  # auto falls back to the full basis
+        assert _pick_sector(cfg) is None
+        records = run_experiment(cfg)
         assert records
 
 
@@ -570,26 +628,28 @@ path = point.csv
 """
 
     def test_grid_outputs(self, tmp_path):
-        cfg = load_config(self.BASE).with_overrides({"axis_coupling_mhz": "4, 16"})
+        cfg = load_config(self.BASE).with_overrides(
+            {"axis_coupling_mhz": "4, 16", "path": str(tmp_path / "point.csv")})
         assert cfg.sweep_axes == {"coupling_mhz": ["4", "16"]}
-        results = run_sweep(cfg, str(tmp_path))
+        results = run_sweep(cfg)
         names = [os.path.basename(r.path) for r in results]
         assert names == ["point__coupling_mhz=4.csv", "point__coupling_mhz=16.csv"]
         for r in results:
             assert r.error is None and os.path.exists(r.path)
 
     def test_empty_axes_single_point_matches_run(self, tmp_path):
-        cfg = load_config(self.BASE)
-        results = run_sweep(cfg, str(tmp_path))
+        cfg = load_config(self.BASE).with_overrides({"path": str(tmp_path / "point.csv")})
+        results = run_sweep(cfg)
         assert len(results) == 1
         direct = tmp_path / "direct.csv"
         write_output(cfg, run_experiment(cfg), direct)
         assert open(results[0].path).read() == direct.read_text()
 
     def test_failures_reported_not_fatal(self, tmp_path):
-        # the second point fails validation
-        cfg = load_config(self.BASE).with_overrides({"axis_dt_ns": "2, -1"})
-        results = run_sweep(cfg, str(tmp_path))
+        # the second point fails validation: four tokens for three sites
+        cfg = load_config(self.BASE).with_overrides(
+            {"axis_initial": "010, 0110", "path": str(tmp_path / "point.csv")})
+        results = run_sweep(cfg)
         errors = [r for r in results if r.error]
         ok = [r for r in results if not r.error]
         assert len(errors) == 1 and len(ok) == 1
@@ -604,9 +664,10 @@ path = point.csv
 
     def test_parallel_pool(self, tmp_path):
         cfg = load_config(self.BASE).with_overrides(
-            {"axis_coupling_mhz": "4, 8, 16", "parallelism": "2"}
+            {"axis_coupling_mhz": "4, 8, 16", "parallelism": "2",
+             "path": str(tmp_path / "point.csv")}
         )
-        results = run_sweep(cfg, str(tmp_path))
+        results = run_sweep(cfg)
         assert all(r.error is None for r in results)
         assert len(results) == 3
 
@@ -649,14 +710,19 @@ class TestCli:
         assert main(["run", "-c", str(bad)]) == 2
 
     def test_preset_print(self, capsys):
-        assert main(["preset", "fig8c", "--print"]) == 0
+        assert main(["preset", "fig8c"]) == 0
         text = capsys.readouterr().out
         assert "mode = single-run" in text
         assert load_config(text).coupling_mhz == (8.0,) * 9
+        assert load_config(text) == preset("fig8c")
 
-    def test_preset_default_is_print(self, capsys):
+    def test_preset_default_is_print(self, tmp_path, monkeypatch, capsys):
+        # without --run the preset is printed, not run: no output is written
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("QUENCHSIM_OUTDIR", raising=False)
         assert main(["preset", "fig8c"]) == 0
         assert "single-run" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_preset_exit_2(self, capsys):
         assert main(["preset", "nope"]) == 2
@@ -665,10 +731,38 @@ class TestCli:
     def test_sweep_cli(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text(TestSweep.BASE)
-        rc = main(["sweep", "-c", str(cfg_path), "--axis", "coupling_mhz=4,16",
-                   "-o", str(tmp_path)])
+        rc = main(["run", "-c", str(cfg_path), "--axis", "coupling_mhz=4,16",
+                   "-o", str(tmp_path / "point.csv")])
         assert rc == 0
         assert (tmp_path / "point__coupling_mhz=4.csv").exists()
+
+    # run -c used to run only the base point of a config with axes
+    def test_run_config_with_axes_runs_sweep(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(TestSweep.BASE + "[sweep]\naxis_coupling_mhz = 4, 16\n")
+        assert main(["run", "-c", str(cfg_path), "-o", str(tmp_path / "out.csv")]) == 0
+        assert sorted(p.name for p in tmp_path.glob("out*")) == [
+            "out__coupling_mhz=16.csv", "out__coupling_mhz=4.csv"]
+
+    @pytest.mark.parametrize("extra", [
+        "[protocol]\ndrive_frequency_mhz = 120",
+        "[profiles]\ncoupling_and_field_mhz = 7\ncoupling_mhz = 3",
+    ], ids=["drive_without_forward", "coupling_and_field_conflict"])
+    def test_input_conflicts_exit_2(self, tmp_path, capsys, extra):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(TestSweep.BASE + extra + "\n")
+        assert main(["run", "-c", str(cfg_path), "-o", str(tmp_path / "out.csv")]) == 2
+        assert "line" in capsys.readouterr().err
+        assert not list(tmp_path.glob("out*"))
+
+    def test_bad_axis_flag_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(TestSweep.BASE)
+        rc = main(["run", "-c", str(cfg_path), "--axis", "dt_ns=abc,-1",
+                   "-o", str(tmp_path / "out.csv")])
+        assert rc == 2
+        assert "axis_dt_ns" in capsys.readouterr().err
+        assert not list(tmp_path.glob("out*"))
 
     def test_preset_sweep_honours_output(self, tmp_path, monkeypatch, capsys):
         # -o used to be ignored for a preset with sweep axes: the points
@@ -703,19 +797,19 @@ class TestCli:
             load_config(TestSweep.BASE).with_overrides({"parallelism": jobs})
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text(TestSweep.BASE)
-        rc = main(["sweep", "-c", str(cfg_path), "-j", str(jobs), "-o", str(tmp_path)])
+        rc = main(["run", "-c", str(cfg_path), "-j", str(jobs), "-o", str(tmp_path / "p.csv")])
         assert rc == 2
         assert "parallelism" in capsys.readouterr().err
-        assert not list(tmp_path.glob("point*"))
+        assert not list(tmp_path.glob("p*.csv"))
 
     @pytest.mark.parametrize("axis", ["bogus=1,2", "parallelism=1,2"])
     def test_sweep_axis_flag_validated_as_config_key(self, tmp_path, capsys, axis):
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text(TestSweep.BASE)
-        rc = main(["sweep", "-c", str(cfg_path), "--axis", axis, "-o", str(tmp_path)])
+        rc = main(["run", "-c", str(cfg_path), "--axis", axis, "-o", str(tmp_path / "p.csv")])
         assert rc == 2
         assert "axis" in capsys.readouterr().err
-        assert not list(tmp_path.glob("point*"))
+        assert not list(tmp_path.glob("p*.csv"))
 
     def test_drive_substep_key_exit_2(self, tmp_path, capsys):
         text = MINIMAL.replace("duration_ns = 20", "duration_ns = 20\ndrive_substep_ns = 1e-9")
@@ -754,13 +848,14 @@ dt_ns = 2.5
     def test_pick_sector_int_for_digits(self):
         sector = _pick_sector(load_config(self.REVERSAL.replace("++++", "0120")))
         assert sector == 3 and isinstance(sector, int)
-        cfg = load_config(self.REVERSAL).with_overrides({"sector": "full"})
+        cfg = load_config(self.REVERSAL).with_overrides({"transverse_mhz": "5"})
         assert _pick_sector(cfg) is None
 
-    def test_auto_range_run_matches_full_basis(self):
+    def test_auto_range_run_matches_full_basis(self, monkeypatch):
         cfg = load_config(self.REVERSAL)
         rec_auto = run_experiment(cfg)
-        rec_full = run_experiment(cfg.with_overrides({"sector": "full"}))
+        monkeypatch.setattr(experiments, "_pick_sector", lambda config: None)
+        rec_full = run_experiment(cfg)
         assert len(rec_auto) == len(rec_full)
         for a, b in zip(rec_auto, rec_full):
             assert a.time_ns == b.time_ns
@@ -778,7 +873,6 @@ initial = 0101010101010101010101010101010101010101
 [protocol]
 mode = single-run
 duration_ns = 10
-sector = full
 """
 
     def test_huge_basis_fails_fast(self):
@@ -794,6 +888,28 @@ sector = full
         assert main(["run", "-c", str(cfg_path), "-o", str(tmp_path / "o.csv")]) == 3
         assert time.perf_counter() - started < 1.0
         assert "overflow" in capsys.readouterr().err
+
+    # a basis above MAX_BASIS_DIM whose codes fit int64 used to load and
+    # fail only when the run built it
+    LARGE = MINIMAL.replace("sites = 2\nlevels = 2", "sites = 20\nlevels = 3").replace(
+        "initial = 01", "initial = " + "01" * 10) + "\n[profiles]\ntransverse_mhz = 5\n"
+
+    def test_large_basis_fails_in_load_config(self):
+        started = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="3486784401 states"):
+            load_config(self.LARGE)
+        assert time.perf_counter() - started < 1.0
+        # without the field the run stays on N = 10, 8533660 states
+        assert load_config(self.LARGE.replace("transverse_mhz = 5", "transverse_mhz = 0"))
+
+    def test_large_basis_cli_exit_3(self, tmp_path, capsys):
+        cfg_path = tmp_path / "large.cfg"
+        cfg_path.write_text(self.LARGE)
+        started = time.perf_counter()
+        assert main(["run", "-c", str(cfg_path), "-o", str(tmp_path / "o.csv")]) == 3
+        assert time.perf_counter() - started < 1.0
+        assert "cap" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_huge_site_count_fails_in_load_config(self):
         text = MINIMAL.replace("sites = 2", "sites = 1000000000")
@@ -828,7 +944,7 @@ sector = full
         assert "dense cap" in capsys.readouterr().err
 
     def test_unbounded_drive_substeps_cli_exit_3(self, tmp_path, capsys):
-        text = MINIMAL.replace("duration_ns = 20", "duration_ns = 100\ndrive = staggered-odd\n"
+        text = MINIMAL.replace("duration_ns = 20", "duration_ns = 100\n"
                                "drive_frequency_mhz = 1e9\ndrive_forward_mhz = 200")
         cfg_path = tmp_path / "fast.cfg"
         cfg_path.write_text(text)
