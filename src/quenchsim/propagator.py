@@ -6,14 +6,19 @@ vectors, an a-posteriori residual estimate gated by the Hochbruck-Lubich
 subspace-size bound and probed only once its leading Taylor term is below
 the tolerance, and Expokit-style step control: a basis that cannot certify
 the whole step advances by the largest sub-step its tridiagonal matrix does
-certify.
+certify and is rebuilt there.
 Sinusoidally driven Hamiltonians are integrated with fourth-order
 commutator-free exponential substeps (two Gauss nodes per substep), each
 exponential going through the same Lanczos core. Multi-segment protocols
 (forward plus sign-flipped backward evolution, with or without drive) are
 executed by ``run_protocol``, a generator of ``(t, state)`` pairs, one per
-sample time: every driven segment restarts its drive phase at its own start
-and is integrated in substeps of ``default_substep_ns`` (T/64), and every
+sample time. In an undriven segment one basis grows across the samples:
+each ``evolve_static`` call extends it only until it certifies the next
+sample's offset from the basis's start vector, so a sample costs the
+vectors it adds; a full basis that cannot certify the next sample is
+rebuilt from the farthest time it certifies at or after the last sample.
+Every driven segment restarts its drive phase at its own start and is
+integrated in substeps of ``default_substep_ns`` (T/64), and every
 exponential uses ``DEFAULT_TOL`` and ``DEFAULT_KRYLOV_DIM``. A segment's one
 ``sign`` multiplies its hopping and transverse terms, so time reversal is a
 single sign flip; stroboscopic sampling is a sample step of one drive period.
@@ -30,7 +35,7 @@ import scipy.linalg as sla
 # Every BLAS call of the Lanczos loop goes through scipy's OpenBLAS. With
 # numpy's copy in the same loop, the two libraries' thread pools contend:
 # at two BLAS threads on two cores a 30-vector basis took 2.7 times longer.
-from scipy.linalg.blas import dznrm2, zaxpy, zdotc, zgemv
+from scipy.linalg.blas import dznrm2, zaxpy, zdotc
 
 from .fockspace import FockBasis, ResourceLimitError, StateVector
 from .operators import (
@@ -100,98 +105,162 @@ class _Ritz:
                 and abs(b * tau * self.last(tau)) < tol)
 
 
-def _lanczos(matvec, V, h, tol, spread_est):
-    """Grow a Lanczos basis from V[0] until it certifies the step h.
+class _Krylov:
+    """A Lanczos basis of one operator that grows on demand.
 
-    Fills V in place and stops at the first size that certifies h, at an
-    invariant subspace, or when V is full. Returns (size, ritz, b,
-    certified) with b the next off-diagonal coupling.
-    ``eigh_tridiagonal`` runs only where the gate can hold with spread_est,
-    the previous basis's Ritz spread (0 for the first basis), and where the
-    residual's leading Taylor term, prod(beta_1..beta_k) |h|**k / (k-1)!,
-    is below tol: about one probe per basis.
+    ``advance(v, dt)`` returns exp(-i dt H) v. If v is ``emitted`` (the
+    state made from its last result), the basis resumes and grows only
+    until it certifies the new offset from its start vector; otherwise it
+    starts at v. The steps one basis serves must share a sign. A full basis
+    that cannot certify the target is rebuilt from the farthest offset it
+    certifies at or after the emitted state, found by Expokit's step search
+    (Sidje, ACM TOMS 24:130, 1998). ``eigh_tridiagonal`` runs only where the
+    Hochbruck-Lubich gate can hold with the widest Ritz spread seen and the
+    residual's leading Taylor term, prod(beta_1..beta_k) |tau|**k / (k-1)!,
+    is below tol: about one probe per result. The rows are separate 1-D
+    arrays reused by every rebuild: unlike one (m_max, n) block they fit
+    into heap that operator assembly has freed. matvec must return a new
+    array: the recurrence updates it in place.
     """
-    m_max = V.shape[0]
-    alpha = np.empty(m_max)
-    beta = np.empty(m_max)
-    log_h = math.log(abs(h))
-    log_tol = math.log(tol)
-    log_pred = 0.0
-    for k in range(1, m_max + 1):
-        j = k - 1
-        w = matvec(V[j])
-        if j:
-            w = zaxpy(V[j - 1], w, a=-beta[j - 1])
-        a = zdotc(V[j], w).real
-        alpha[j] = a
-        w = zaxpy(V[j], w, a=-a)
+
+    def __init__(self, matvec, tol, m_max, max_halvings=48):
+        self.matvec = matvec
+        self.tol = tol
+        self.m_max = m_max
+        self.max_halvings = max_halvings
+        self.rows = []
+        self.alpha = np.empty(m_max)
+        self.beta = np.empty(m_max)
+        self.spread_est = 0.0
+        self.emitted = None
+
+    def start(self, v):
+        """Begin a new basis at v, whose offset is 0."""
+        self.scale = dznrm2(v)
+        if not self.rows:
+            self.rows.append(np.empty(v.size, dtype=np.complex128))
+        np.divide(v, self.scale, out=self.rows[0])
+        self.k = 0
+        self.at = 0.0  # offset of the emitted state
+        self.ritz = None
+        self.log_pred = 0.0  # log of prod(beta_1..beta_k) / (k-1)!
+
+    def _extend(self):
+        k = self.k
+        rows = self.rows
+        if k:
+            self.beta[k - 1] = self.b
+            if len(rows) == k:
+                rows.append(np.empty_like(rows[0]))
+            # scaling the float view costs a tenth of a complex division
+            np.multiply(self.w.view(np.float64), 1.0 / self.b, out=rows[k].view(np.float64))
+        x = rows[k]
+        w = self.matvec(x)
+        if k:
+            w = zaxpy(rows[k - 1], w, a=-self.beta[k - 1])
+        a = zdotc(x, w).real
+        self.alpha[k] = a
+        w = zaxpy(x, w, a=-a)
         # One re-pass against the two vectors the recurrence used, not the
         # whole basis: for exp(-i h H) psi the three-term recurrence stays
         # accurate (Druskin, Greenbaum & Knizhnerman 1998). Full 30-vector
         # bases on dimensions 50 and 55 at 50-500 ns, where Ritz values
         # converge and |V^H V - I| reaches 0.4, stay within 1.3e-11 of dense
         # propagation with norm drift below 3e-15 (tests/test_propagator.py).
-        # The slice's .T is a Fortran view, so BLAS reads it without a copy.
-        Vt = V[max(j - 1, 0):k].T
-        c = zgemv(1.0, Vt, w, trans=2)
-        w = zgemv(-1.0, Vt, c, beta=1.0, y=w, overwrite_y=1)
-        b = dznrm2(w)
-        if b < 1e-14:
-            return k, _Ritz(alpha[:k], beta[:j]), b, True
-        log_pred += math.log(b) + log_h - math.log(max(j, 1))
-        if k == m_max or (k >= 3 and k >= 0.5 * abs(h) * spread_est
-                          and log_pred < log_tol):
-            ritz = _Ritz(alpha[:k], beta[:j])
-            certified = ritz.certifies(h, b, tol)
-            if certified or k == m_max:
-                return k, ritz, b, certified
-        beta[j] = b
-        # scaling the float view costs a tenth of a complex division
-        np.multiply(w.view(np.float64), 1.0 / b, out=V[k].view(np.float64))
-    raise AssertionError("unreachable")
+        for r in rows[max(k - 1, 0):k + 1]:
+            w = zaxpy(r, w, a=-zdotc(r, w))
+        self.w = w
+        self.b = dznrm2(w)
+        self.k = k + 1
+        if self.b >= 1e-14:
+            self.log_pred += math.log(self.b) - math.log(max(k, 1))
+
+    def _probe(self) -> _Ritz:
+        k = self.k
+        if self.ritz is None or self.ritz.size != k:
+            self.ritz = _Ritz(self.alpha[:k], self.beta[:k - 1])
+            self.spread_est = max(self.spread_est, self.ritz.spread)
+        return self.ritz
+
+    def grow(self, tau) -> bool:
+        """Extend until the basis certifies offset tau; False if it fills up first."""
+        log_tau = math.log(abs(tau))
+        log_tol = math.log(self.tol)
+        while True:
+            k = self.k
+            if k and self.b < 1e-14:
+                self._probe()
+                return True  # invariant subspace: exact at every offset
+            if k == self.m_max or (k >= 3 and k >= 0.5 * abs(tau) * self.spread_est
+                                   and self.log_pred + k * log_tau < log_tol):
+                if self._probe().certifies(tau, self.b, self.tol):
+                    return True
+                if k == self.m_max:
+                    return False
+            self._extend()
+
+    def emit(self, tau) -> np.ndarray:
+        """scale * V[:k]^T exp(-i tau T) e_1 at the last probed size k."""
+        c = self.scale * self.ritz.e1(tau)
+        out = self.rows[0] * c[0]
+        for r, ci in zip(self.rows[1:c.size], c[1:]):
+            out = zaxpy(r, out, a=ci)
+        return out
+
+    def advance(self, v, dt) -> np.ndarray:
+        if v is not self.emitted:
+            self.start(v)
+        floor = abs(dt) * 2.0 ** -self.max_halvings
+        target = self.at + dt
+        while not self.grow(target):
+            sign = math.copysign(1.0, target)
+            h = self._substep(abs(target), max(0.0, sign * self.at), floor)
+            if h is None:
+                # nothing certified past the emitted state: rebuild there
+                self.start(v)
+                target = dt
+            elif h == abs(target):
+                break
+            else:
+                at = self.at - sign * h
+                self.start(self.emit(sign * h))
+                self.at = at
+                target -= sign * h
+        self.at = target
+        return self.emit(target)
+
+    def _substep(self, remaining, done, floor):
+        """Largest step past ``done`` that the full basis certifies (Expokit).
+
+        None if the search falls to ``done``; NumericsError below ``floor``.
+        """
+        ritz, b, k, tol = self.ritz, self.b, self.k, self.tol
+        h = remaining
+        if ritz.spread > 0.0:
+            h = min(h, 2.0 * k / ritz.spread)
+        while h > done:
+            if h < floor or h == 0.0:
+                raise NumericsError(
+                    f"Krylov propagation did not converge at subspace size {self.m_max}"
+                )
+            res = abs(b * h * ritz.last(h))
+            if res < tol:
+                return h
+            h *= min(0.9, 0.9 * (tol / res) ** (1.0 / k))
+        return None
 
 
 def _krylov_expm(matvec, psi, dt, tol, m_max, max_halvings=48):
     """exp(-i dt H) psi by Lanczos with Expokit-style step control.
 
-    Every basis is built once, in one (m_max, n) buffer, and aims at the
-    whole remaining time. When a full basis cannot certify it, the same
-    tridiagonal T is re-exponentiated at the largest sub-step it certifies
-    (Sidje, ACM TOMS 24:130, 1998) and the state advances by that much; no
-    basis is discarded. Its Ritz spread is carried to the next basis as the
-    step estimate that decides where probing starts. NumericsError is raised
-    when the certified sub-step falls below |dt| / 2**max_halvings.
-    matvec must return a new array: the recurrence updates it in place.
+    A basis that cannot certify the whole step advances the state by the
+    largest sub-step its tridiagonal matrix certifies and is rebuilt from
+    there, so no basis is discarded. NumericsError is raised when that
+    sub-step falls below |dt| / 2**max_halvings.
     """
     if dt == 0.0:
         return psi.copy()
-    V = np.empty((m_max, psi.size), dtype=np.complex128)
-    sign = math.copysign(1.0, dt)
-    remaining = abs(dt)
-    floor = remaining * 2.0 ** -max_halvings
-    spread_est = 0.0
-    v = psi
-    while remaining > 0.0:
-        scale = dznrm2(v)
-        np.divide(v, scale, out=V[0])
-        k, ritz, b, certified = _lanczos(matvec, V, sign * remaining, tol, spread_est)
-        h = remaining
-        if not certified:
-            if ritz.spread > 0.0:
-                h = min(h, 2.0 * k / ritz.spread)
-            while True:
-                if h < floor or h == 0.0:
-                    raise NumericsError(
-                        f"Krylov propagation did not converge at subspace size {m_max}"
-                    )
-                res = abs(b * h * ritz.last(h))
-                if res < tol:
-                    break
-                h *= min(0.9, 0.9 * (tol / res) ** (1.0 / k))
-        spread_est = ritz.spread
-        v = zgemv(scale, V[:k].T, ritz.e1(sign * h))
-        remaining -= h
-    return v
+    return _Krylov(matvec, tol, m_max, max_halvings).advance(psi, dt)
 
 
 def _finish(basis: FockBasis, raw: np.ndarray) -> StateVector:
@@ -201,14 +270,16 @@ def _finish(basis: FockBasis, raw: np.ndarray) -> StateVector:
     return StateVector(basis, raw / nrm, normalize=False)
 
 
-def evolve_static(H: SparseOperator, psi: StateVector, dt_ns: float) -> StateVector:
+def evolve_static(H: SparseOperator, psi: StateVector, dt_ns: float, _krylov=None) -> StateVector:
     """Apply ``exp(-i H dt)`` to a state via adaptive Lanczos.
 
     H must carry the hermitian tag and live on the state's basis. Bases hold
     at most ``DEFAULT_KRYLOV_DIM`` vectors. The returned state has unit norm;
     a pre-normalization drift above 1e-8 raises NumericsError rather than
     being silently absorbed, and so does a step that would need sub-steps
-    shorter than dt / 2**48.
+    shorter than dt / 2**48. ``_krylov`` is ``run_protocol``'s basis of H
+    for the current segment: given the state it returned last, the call
+    resumes that basis instead of building one.
     """
     if not H.hermitian:
         raise ValueError("evolve_static requires a Hermitian operator")
@@ -216,8 +287,10 @@ def evolve_static(H: SparseOperator, psi: StateVector, dt_ns: float) -> StateVec
         raise ValueError("operator and state live on different bases")
     if dt_ns == 0.0:
         return psi.copy()
-    raw = _krylov_expm(H.matvec, psi.amplitudes, float(dt_ns), DEFAULT_TOL, DEFAULT_KRYLOV_DIM)
-    return _finish(psi.basis, raw)
+    krylov = _krylov or _Krylov(H.matvec, DEFAULT_TOL, DEFAULT_KRYLOV_DIM)
+    out = _finish(psi.basis, krylov.advance(psi.amplitudes, float(dt_ns)))
+    krylov.emitted = out.amplitudes
+    return out
 
 
 # Fourth-order commutator-free coefficients (two Gauss nodes per substep).
@@ -395,7 +468,9 @@ def run_protocol(protocol: Protocol, psi0: StateVector) -> Iterator[tuple[float,
 
     The pairs follow ``protocol.sample_times()``; the first is ``(0.0, copy
     of psi0)``. Every yielded state is a new object that later steps leave
-    unchanged, so callers may keep any of them. A schedule above
+    unchanged, so callers may keep any of them; they must not edit one in
+    place, since an undriven segment's basis continues from the state it
+    emitted, not from the yielded object. A schedule above
     ``MAX_SAMPLES`` samples, or driven segments that need more than
     ``MAX_SUBSTEPS`` CF4 substeps, raise ResourceLimitError when the first
     pair is requested, before any propagation.
@@ -422,11 +497,13 @@ def run_protocol(protocol: Protocol, psi0: StateVector) -> Iterator[tuple[float,
             continue  # its boundary coincides with a sample already taken
         H = seg.static_hamiltonian(basis)
         D = seg.drive_operator(basis)
+        # an undriven segment's samples share one growing basis
+        krylov = _Krylov(H.matvec, DEFAULT_TOL, DEFAULT_KRYLOV_DIM) if D is None else None
         t_prev = seg_start
         while next_sample < times.size and times[next_sample] <= seg_end + 1e-9:
             t_next = min(float(times[next_sample]), seg_end)
             if D is None:
-                psi = evolve_static(H, psi, t_next - t_prev)
+                psi = evolve_static(H, psi, t_next - t_prev, _krylov=krylov)
             else:
                 # segment-relative times: each segment restarts its drive phase
                 psi = evolve_driven(H, D, seg.drive, psi, t_prev - seg_start,
@@ -434,3 +511,4 @@ def run_protocol(protocol: Protocol, psi0: StateVector) -> Iterator[tuple[float,
             yield t_next, psi
             t_prev = t_next
             next_sample += 1
+        krylov = None  # free the basis before the next segment is assembled

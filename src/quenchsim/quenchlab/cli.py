@@ -16,7 +16,7 @@ from ..operators import mhz_from_omega
 from ..propagator import NumericsError
 from .config import ConfigError, load_config
 from .experiments import run_experiment, run_sweep, write_output
-from .presets import preset, preset_text
+from .presets import preset, preset_names, preset_text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="parallel workers, the config key parallelism")
 
     p_pre = sub.add_parser("preset", help="print or run a figure preset")
-    p_pre.add_argument("name", help="preset name (see 'preset list')")
+    p_pre.add_argument("name", help="preset name: " + ", ".join(preset_names()))
     p_pre.add_argument("--run", action="store_true", dest="do_run",
                        help="run the preset instead of printing it")
     p_pre.add_argument("-o", "--output", help="output file when running")

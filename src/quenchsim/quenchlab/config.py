@@ -204,7 +204,8 @@ def _entry(key: str) -> tuple | None:
     if key.startswith("amplitudes_q"):
         return "state", _amplitude_pair, None
     target = KEYS.get(key.removeprefix("axis_")) if key.startswith("axis_") else None
-    if target is not None and target[0] != "sweep":
+    # a sweep runs every point with one parallelism and one output naming
+    if target is not None and target[0] not in ("sweep", "output"):
         return "sweep", _axis(target[1]), None
     return None
 

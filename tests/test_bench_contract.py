@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from quenchsim import build_basis, parse_product_state
+from quenchsim import AnharmonicityProfile, CouplingProfile, build_basis, parse_product_state
 from quenchsim.quenchlab import experiments, load_config
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
@@ -68,3 +68,39 @@ duration_ns = 1
     observe = experiments._observer(config, psi0)
     assert observe(0.0, psi0).fidelity == pytest.approx(1.0)
     assert observe(0.0, psi0, cross=0.25).fidelity == 0.25
+
+
+def test_undriven_propagation_runs_inside_evolve_static(monkeypatch):
+    # the tracer times propagation only through evolve_static/evolve_driven,
+    # one call per sample interval, and bench/selfcheck.py asserts that the
+    # layer spans cover the run: a matvec outside them would escape both
+    from quenchsim import propagator
+    from quenchsim.operators import SparseOperator
+
+    counts = {"evolve": 0, "matvec": 0, "stray": 0}
+    inside = [False]
+    evolve_static, matvec = propagator.evolve_static, SparseOperator.matvec
+
+    def counted_evolve(*args, **kwargs):
+        counts["evolve"] += 1
+        inside[0] = True
+        try:
+            return evolve_static(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def counted_matvec(self, v):
+        counts["matvec"] += 1
+        counts["stray"] += not inside[0]
+        return matvec(self, v)
+
+    monkeypatch.setattr(propagator, "evolve_static", counted_evolve)
+    monkeypatch.setattr(SparseOperator, "matvec", counted_matvec)
+    L = 4
+    seg = propagator.Segment(10.0, CouplingProfile.from_mhz([16.0] * (L - 1)),
+                             AnharmonicityProfile.from_mhz([240.0] * L))
+    protocol = propagator.Protocol((seg, propagator.reverse_of(seg)), sample_dt_ns=0.5)
+    psi0 = parse_product_state("+1+0", build_basis(L, 3))
+    pairs = list(propagator.run_protocol(protocol, psi0))
+    assert counts["evolve"] == len(pairs) - 1 == 40
+    assert counts["matvec"] > 0 and counts["stray"] == 0

@@ -198,12 +198,14 @@ class TestEvolveStatic:
 
     def test_orthogonality_lost_on_long_step(self):
         # the regime the test above covers: a full basis far from orthonormal
-        from quenchsim.propagator import _lanczos
+        from quenchsim.propagator import _Krylov
 
         basis, H = self._k3_chain(10, 2)
-        V = np.empty((30, basis.dim), dtype=np.complex128)
-        V[0] = parse_product_state("0001001000", basis).amplitudes
-        k, _, _, _ = _lanczos(H.matvec, V, 500.0, 1e-10, 0.0)
+        krylov = _Krylov(H.matvec, 1e-10, 30)
+        krylov.start(parse_product_state("0001001000", basis).amplitudes)
+        krylov.grow(500.0)
+        k = krylov.k
+        V = np.array(krylov.rows[:k])
         assert k == 30
         assert np.abs(V.conj() @ V.T - np.eye(30)).max() > 0.1
 
@@ -406,21 +408,27 @@ class TestProtocol:
         for _, st in pairs:
             assert abs(st.norm() - 1.0) < 1e-8
 
-    def test_kept_states_match_step_by_step_chain(self):
+    def test_kept_states_stay_as_yielded(self):
         # every yielded state must stay as it was yielded while the run goes on
         L = 3
         basis = build_basis(L, 3)
         psi0 = parse_product_state("+10", basis)
         seg = make_segment(12.0, 16.0, 240.0, L, Omega_mhz=9.0)
         proto = Protocol((seg, reverse_of(seg)), sample_dt_ns=1.5)
-        kept = list(run_protocol(proto, psi0))
+        kept, snapshots = [], []
+        for t, state in run_protocol(proto, psi0):
+            kept.append((t, state))
+            snapshots.append(state.amplitudes.copy())
         assert len(kept) == proto.sample_times().size
-        psi, t_prev = psi0, 0.0
-        for t, state in kept:
-            H = (seg if t <= seg.duration_ns + 1e-9 else reverse_of(seg)).static_hamiltonian(basis)
-            psi = evolve_static(H, psi, t - t_prev)
-            t_prev = t
-            assert np.abs(state.amplitudes - psi.amplitudes).max() < 1e-12
+        H_fwd = seg.static_hamiltonian(basis).dense()
+        H_bwd = reverse_of(seg).static_hamiltonian(basis).dense()
+        T = seg.duration_ns
+        for (t, state), snap in zip(kept, snapshots):
+            np.testing.assert_array_equal(state.amplitudes, snap)
+            ref = dense_propagate(H_fwd, psi0.amplitudes, min(t, T))
+            if t > T + 1e-9:
+                ref = dense_propagate(H_bwd, ref, t - T)
+            assert np.linalg.norm(state.amplitudes - ref) < 1e-10
 
     def test_number_conservation_without_field(self):
         L = 4
@@ -441,3 +449,88 @@ class TestProtocol:
         proto = Protocol((seg,), sample_dt_ns=50.0)
         vals = [H.expectation(p) for _, p in run_protocol(proto, psi0)]
         assert max(abs(v - vals[0]) for v in vals) < 1e-8
+
+
+def dense_samples(proto, psi0):
+    """The exact state at every sample time of an undriven protocol."""
+    basis = psi0.basis
+    times = proto.sample_times()
+    out = [psi0.amplitudes]
+    start = 0.0
+    for seg in proto.segments:
+        w, P = np.linalg.eigh(seg.static_hamiltonian(basis).dense())
+        end = start + seg.duration_ns
+        c = P.conj().T @ out[-1]
+        out += [P @ (np.exp(-1j * (t - start) * w) * c)
+                for t in times if start + 1e-9 < t <= end + 1e-9]
+        start = end
+    return out
+
+
+class TestSampledSegment:
+    """Undriven segments: one growing basis serves every sample."""
+
+    @staticmethod
+    def _run(monkeypatch, proto, psi0):
+        """Check every sample against dense propagation.
+
+        Returns, per basis started, the samples emitted before it, and the
+        number of matvecs.
+        """
+        from quenchsim import propagator
+
+        drift, starts, matvecs = [], [], [0]
+        finish, start = propagator._finish, propagator._Krylov.start
+        matvec = SparseOperator.matvec
+
+        def recording_finish(basis, raw):
+            drift.append(abs(np.linalg.norm(raw) - 1.0))
+            return finish(basis, raw)
+
+        def recording_start(self, v):
+            starts.append(len(drift))
+            start(self, v)
+
+        def counted_matvec(self, v):
+            matvecs[0] += 1
+            return matvec(self, v)
+
+        monkeypatch.setattr(propagator, "_finish", recording_finish)
+        monkeypatch.setattr(propagator._Krylov, "start", recording_start)
+        monkeypatch.setattr(SparseOperator, "matvec", counted_matvec)
+        pairs = list(run_protocol(proto, psi0))
+        ref = dense_samples(proto, psi0)
+        assert len(pairs) == len(ref) == proto.sample_times().size
+        for (_, state), exact in zip(pairs, ref):
+            assert np.linalg.norm(state.amplitudes - exact) < 1e-10
+        assert max(drift) < 1e-13
+        return starts, matvecs[0]
+
+    def test_transverse_segment_refills_basis(self, monkeypatch):
+        basis = build_basis(4, 3)  # the field breaks number conservation: 81 states
+        seg = make_segment(60.0, 16.0, 240.0, 4, Omega_mhz=12.0)
+        proto = Protocol((seg,), sample_dt_ns=0.5)
+        starts, _ = self._run(monkeypatch, proto, parse_product_state("+1+0", basis))
+        assert len(starts) >= 4  # full bases were rebuilt along the segment
+
+    def test_range_basis_reversal_shares_basis(self, monkeypatch):
+        L = 6
+        basis = build_basis(L, 3, sector=range(0, L + 1))
+        seg = make_segment(25.0, 16.0, 240.0, L)
+        proto = Protocol((seg, reverse_of(seg)), sample_dt_ns=0.5)
+        _, matvecs = self._run(monkeypatch, proto, parse_product_state("+1+0+1", basis))
+        # a fresh basis per 0.5 ns interval took 1100 matvecs; one growing
+        # basis per segment takes 276
+        assert matvecs <= 400
+
+    # A full basis of this state certifies 28.5 ns from its start: at 20 ns
+    # it is rebuilt from an Expokit sub-step between samples, and at 40 ns
+    # the first interval takes two bases.
+    @pytest.mark.parametrize("dt, first_interval_bases", [(20.0, 1), (40.0, 2)])
+    def test_sample_interval_longer_than_basis(self, monkeypatch, dt, first_interval_bases):
+        _, psi0 = TestEvolveStatic._substep_case()
+        seg = Segment(100.0, CouplingProfile.from_mhz([16.0] * 3),
+                      AnharmonicityProfile.from_mhz([212.0, 264.0, 210.0, 268.0]))
+        starts, _ = self._run(monkeypatch, Protocol((seg,), sample_dt_ns=dt), psi0)
+        assert len(starts) >= 3
+        assert starts.count(0) == first_interval_bases

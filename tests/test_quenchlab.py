@@ -802,7 +802,16 @@ class TestCli:
         assert "parallelism" in capsys.readouterr().err
         assert not list(tmp_path.glob("p*.csv"))
 
-    @pytest.mark.parametrize("axis", ["bogus=1,2", "parallelism=1,2"])
+    def test_preset_help_names_presets(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["preset", "--help"])
+        assert exc.value.code == 0
+        assert "fig4" in capsys.readouterr().out
+
+    # every point's file is named from the base config's path and format,
+    # so axes over [output] keys are refused like axes over [sweep] keys
+    @pytest.mark.parametrize("axis", ["bogus=1,2", "parallelism=1,2",
+                                      "format=csv,json", "path=a.csv,b.csv"])
     def test_sweep_axis_flag_validated_as_config_key(self, tmp_path, capsys, axis):
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text(TestSweep.BASE)
