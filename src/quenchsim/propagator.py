@@ -1,25 +1,16 @@
 """Time evolution of state vectors under static and driven Hamiltonians.
 
-The workhorse is a Lanczos (Hermitian Krylov) approximation of
-``exp(-i H dt) psi`` with a local BLAS re-pass against the two previous
-vectors, an a-posteriori residual estimate gated by the Hochbruck-Lubich
-subspace-size bound and probed only once its leading Taylor term is below
-the tolerance, and Expokit-style step control: a basis that cannot certify
-the whole step advances by the largest sub-step its tridiagonal matrix does
-certify and is rebuilt there.
-Sinusoidally driven Hamiltonians are integrated with fourth-order
-commutator-free exponential substeps (two Gauss nodes per substep), each
-exponential going through the same Lanczos core. Multi-segment protocols
-(forward plus sign-flipped backward evolution, with or without drive) are
-executed by ``run_protocol``, a generator of ``(t, state)`` pairs, one per
-sample time. In an undriven segment one basis grows across the samples:
-each ``evolve_static`` call extends it only until it certifies the next
-sample's offset from the basis's start vector, so a sample costs the
-vectors it adds; a full basis that cannot certify the next sample is
-rebuilt from the farthest time it certifies at or after the last sample.
-Every driven segment restarts its drive phase at its own start and is
-integrated in substeps of ``default_substep_ns`` (T/64), and every
-exponential uses ``DEFAULT_TOL`` and ``DEFAULT_KRYLOV_DIM``. A segment's one
+Every exponential ``exp(-i H dt) psi`` goes through ``_Krylov``, one Lanczos
+core with a local BLAS re-pass, a gated a-posteriori residual estimate and
+Expokit-style step control, at ``DEFAULT_TOL``, ``DEFAULT_KRYLOV_DIM`` and
+``MAX_HALVINGS``. Sinusoidally driven Hamiltonians are integrated with
+fourth-order commutator-free substeps (two Gauss nodes per substep) of
+``default_substep_ns`` (T/64); one basis object serves every exponential of
+an ``evolve_driven`` call. Multi-segment protocols (forward plus
+sign-flipped backward evolution, with or without drive) are executed by
+``run_protocol``, a generator of ``(t, state)`` pairs, one per sample time.
+The samples of an undriven segment share one growing basis, and every
+driven segment restarts its drive phase at its own start. A segment's one
 ``sign`` multiplies its hopping and transverse terms, so time reversal is a
 single sign flip; stroboscopic sampling is a sample step of one drive period.
 """
@@ -63,6 +54,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 DEFAULT_KRYLOV_DIM = 30
+MAX_HALVINGS = 48  # sub-steps below |dt| / 2**MAX_HALVINGS raise NumericsError
 SUBSTEPS_PER_PERIOD = 64
 MAX_SAMPLES = 1_000_000
 MAX_SUBSTEPS = 1_000_000
@@ -115,23 +107,19 @@ class _Krylov:
     that cannot certify the target is rebuilt from the farthest offset it
     certifies at or after the emitted state, found by Expokit's step search
     (Sidje, ACM TOMS 24:130, 1998). ``eigh_tridiagonal`` runs only where the
-    Hochbruck-Lubich gate can hold with the widest Ritz spread seen and the
     residual's leading Taylor term, prod(beta_1..beta_k) |tau|**k / (k-1)!,
-    is below tol: about one probe per result. The rows are separate 1-D
-    arrays reused by every rebuild: unlike one (m_max, n) block they fit
-    into heap that operator assembly has freed. matvec must return a new
-    array: the recurrence updates it in place.
+    is below ``DEFAULT_TOL`` (or the basis is full): about one probe per
+    result, trusted where ``_Ritz.certifies`` holds. The basis holds at most
+    ``DEFAULT_KRYLOV_DIM`` rows, separate 1-D arrays reused by every rebuild:
+    unlike one 2-D block they fit into heap that operator assembly has
+    freed. matvec must return a new array: the recurrence updates it in place.
     """
 
-    def __init__(self, matvec, tol, m_max, max_halvings=48):
+    def __init__(self, matvec):
         self.matvec = matvec
-        self.tol = tol
-        self.m_max = m_max
-        self.max_halvings = max_halvings
         self.rows = []
-        self.alpha = np.empty(m_max)
-        self.beta = np.empty(m_max)
-        self.spread_est = 0.0
+        self.alpha = np.empty(DEFAULT_KRYLOV_DIM)
+        self.beta = np.empty(DEFAULT_KRYLOV_DIM)
         self.emitted = None
 
     def start(self, v):
@@ -179,23 +167,21 @@ class _Krylov:
         k = self.k
         if self.ritz is None or self.ritz.size != k:
             self.ritz = _Ritz(self.alpha[:k], self.beta[:k - 1])
-            self.spread_est = max(self.spread_est, self.ritz.spread)
         return self.ritz
 
     def grow(self, tau) -> bool:
         """Extend until the basis certifies offset tau; False if it fills up first."""
         log_tau = math.log(abs(tau))
-        log_tol = math.log(self.tol)
+        log_tol = math.log(DEFAULT_TOL)
         while True:
             k = self.k
             if k and self.b < 1e-14:
                 self._probe()
                 return True  # invariant subspace: exact at every offset
-            if k == self.m_max or (k >= 3 and k >= 0.5 * abs(tau) * self.spread_est
-                                   and self.log_pred + k * log_tau < log_tol):
-                if self._probe().certifies(tau, self.b, self.tol):
+            if k == DEFAULT_KRYLOV_DIM or (k >= 3 and self.log_pred + k * log_tau < log_tol):
+                if self._probe().certifies(tau, self.b, DEFAULT_TOL):
                     return True
-                if k == self.m_max:
+                if k == DEFAULT_KRYLOV_DIM:
                     return False
             self._extend()
 
@@ -208,9 +194,10 @@ class _Krylov:
         return out
 
     def advance(self, v, dt) -> np.ndarray:
+        """exp(-i dt H) v for dt != 0; NumericsError past MAX_HALVINGS."""
         if v is not self.emitted:
             self.start(v)
-        floor = abs(dt) * 2.0 ** -self.max_halvings
+        floor = abs(dt) * 2.0 ** -MAX_HALVINGS
         target = self.at + dt
         while not self.grow(target):
             sign = math.copysign(1.0, target)
@@ -219,8 +206,6 @@ class _Krylov:
                 # nothing certified past the emitted state: rebuild there
                 self.start(v)
                 target = dt
-            elif h == abs(target):
-                break
             else:
                 at = self.at - sign * h
                 self.start(self.emit(sign * h))
@@ -234,33 +219,18 @@ class _Krylov:
 
         None if the search falls to ``done``; NumericsError below ``floor``.
         """
-        ritz, b, k, tol = self.ritz, self.b, self.k, self.tol
+        ritz, b, k, tol = self.ritz, self.b, self.k, DEFAULT_TOL
         h = remaining
         if ritz.spread > 0.0:
             h = min(h, 2.0 * k / ritz.spread)
         while h > done:
             if h < floor or h == 0.0:
-                raise NumericsError(
-                    f"Krylov propagation did not converge at subspace size {self.m_max}"
-                )
+                raise NumericsError(f"Krylov propagation did not converge at subspace size {k}")
             res = abs(b * h * ritz.last(h))
             if res < tol:
                 return h
             h *= min(0.9, 0.9 * (tol / res) ** (1.0 / k))
         return None
-
-
-def _krylov_expm(matvec, psi, dt, tol, m_max, max_halvings=48):
-    """exp(-i dt H) psi by Lanczos with Expokit-style step control.
-
-    A basis that cannot certify the whole step advances the state by the
-    largest sub-step its tridiagonal matrix certifies and is rebuilt from
-    there, so no basis is discarded. NumericsError is raised when that
-    sub-step falls below |dt| / 2**max_halvings.
-    """
-    if dt == 0.0:
-        return psi.copy()
-    return _Krylov(matvec, tol, m_max, max_halvings).advance(psi, dt)
 
 
 def _finish(basis: FockBasis, raw: np.ndarray) -> StateVector:
@@ -277,7 +247,7 @@ def evolve_static(H: SparseOperator, psi: StateVector, dt_ns: float, _krylov=Non
     at most ``DEFAULT_KRYLOV_DIM`` vectors. The returned state has unit norm;
     a pre-normalization drift above 1e-8 raises NumericsError rather than
     being silently absorbed, and so does a step that would need sub-steps
-    shorter than dt / 2**48. ``_krylov`` is ``run_protocol``'s basis of H
+    shorter than dt / 2**MAX_HALVINGS. ``_krylov`` is ``run_protocol``'s basis of H
     for the current segment: given the state it returned last, the call
     resumes that basis instead of building one.
     """
@@ -287,7 +257,7 @@ def evolve_static(H: SparseOperator, psi: StateVector, dt_ns: float, _krylov=Non
         raise ValueError("operator and state live on different bases")
     if dt_ns == 0.0:
         return psi.copy()
-    krylov = _krylov or _Krylov(H.matvec, DEFAULT_TOL, DEFAULT_KRYLOV_DIM)
+    krylov = _krylov or _Krylov(H.matvec)
     out = _finish(psi.basis, krylov.advance(psi.amplitudes, float(dt_ns)))
     krylov.emitted = out.amplitudes
     return out
@@ -316,7 +286,9 @@ def evolve_driven(
     The integrator is fourth-order commutator-free: each substep applies two
     exponentials of ``H_static + gamma D`` for time h/2, with gamma mixing
     the cosine sampled at the two Gauss nodes of the substep. D must be
-    diagonal; use build_number_weighted for the modulation term.
+    diagonal; use build_number_weighted for the modulation term. One basis
+    object serves every exponential of the call: its matvec reads the
+    current ``gamma D``.
     """
     if not H_static.hermitian:
         raise ValueError("static part must be Hermitian")
@@ -335,7 +307,8 @@ def evolve_driven(
     nu = drive.nu
     nsub = max(1, math.ceil(span / dt_sub_ns - 1e-12))
     h = span / nsub
-    Hmv = H_static.matvec
+    gd = np.empty_like(d)
+    krylov = _Krylov(lambda v: H_static.matvec(v) + gd * v)
     raw = psi.amplitudes
     for k in range(nsub):
         t_k = t0_ns + k * h
@@ -343,12 +316,8 @@ def evolve_driven(
         c2 = math.cos(nu * (t_k + (0.5 + _SQRT3 / 6.0) * h))
         for g in (2.0 * (_CF4_HI * c1 + _CF4_LO * c2),
                   2.0 * (_CF4_LO * c1 + _CF4_HI * c2)):
-            gd = g * d
-
-            def matvec(v, _gd=gd):
-                return Hmv(v) + _gd * v
-
-            raw = _krylov_expm(matvec, raw, 0.5 * h, DEFAULT_TOL, DEFAULT_KRYLOV_DIM)
+            np.multiply(g, d, out=gd)
+            raw = krylov.advance(raw, 0.5 * h)
     return _finish(psi.basis, raw)
 
 
@@ -498,7 +467,7 @@ def run_protocol(protocol: Protocol, psi0: StateVector) -> Iterator[tuple[float,
         H = seg.static_hamiltonian(basis)
         D = seg.drive_operator(basis)
         # an undriven segment's samples share one growing basis
-        krylov = _Krylov(H.matvec, DEFAULT_TOL, DEFAULT_KRYLOV_DIM) if D is None else None
+        krylov = _Krylov(H.matvec) if D is None else None
         t_prev = seg_start
         while next_sample < times.size and times[next_sample] <= seg_end + 1e-9:
             t_next = min(float(times[next_sample]), seg_end)

@@ -1,10 +1,11 @@
 """Declarative experiment configs: a flat, commented key-value format.
 
 A document is a sequence of ``[section]`` headers and ``key = value`` lines;
-``#`` starts a comment. Keys are unique across the whole document and every
-key must belong to its section in ``KEYS``, so typos fail loudly with a line
-number. Frequencies are quoted the way device papers quote them, as
-``value/2pi`` in MHz.
+``#`` starts a comment. Keys are unique across the whole document, every key
+must belong to its section in ``KEYS``, and a key the config's mode never
+reads (``UNREAD``) is an error, so typos fail loudly with a line number.
+Frequencies are quoted the way device papers quote them, as ``value/2pi`` in
+MHz.
 """
 
 from __future__ import annotations
@@ -182,6 +183,20 @@ KEYS = {
     "path": ("output", str, None),
     "format": ("output", _choice(FORMATS), "csv"),
     "parallelism": ("sweep", _integer(1), 1),
+}
+
+
+# The keys each mode never reads: naming one, or its axis_<key>, is an error
+# rather than a silent no-op. amplitudes_q<j> counts as initial, and dt_ns is
+# unread in every mode once stroboscopic = true.
+UNREAD = {
+    "spectrum": ("transverse_mhz", "coupling_and_field_mhz", "initial", "forward_ns",
+                 "assumed_forward_ns", "duration_ns", "assumed_duration_ns",
+                 "drive_frequency_mhz", "drive_forward_mhz", "drive_backward_mhz",
+                 "dt_ns", "stroboscopic", "observables"),
+    "time-reversal": ("duration_ns", "assumed_duration_ns", "particles"),
+    "one-direction-compare": ("forward_ns", "assumed_forward_ns", "particles"),
+    "single-run": ("forward_ns", "assumed_forward_ns", "particles", "drive_backward_mhz"),
 }
 
 
@@ -397,6 +412,15 @@ def _validate(entries: dict, source_text: str = "") -> ExperimentConfig:
         raise error("drive_frequency_mhz", "a drive needs drive_frequency_mhz")
     if values["stroboscopic"] and not driven:
         raise error("stroboscopic", "stroboscopic sampling requires a drive")
+    # a key is read when any mode the config's sweep runs reads it
+    unread = set.intersection(*(set(UNREAD[m]) for m in {mode, *values.get("axis_mode", ())}))
+    if values["stroboscopic"]:
+        unread.add("dt_ns")
+    for key in entries:
+        name = "initial" if key.startswith("amplitudes_q") else key.removeprefix("axis_")
+        if name in unread:
+            reader = f"{mode} mode" if name in UNREAD[mode] else "stroboscopic sampling"
+            raise error(key, f"{reader} does not read this key")
 
     # Mode-specific requirements.
     if mode == "time-reversal" and values["forward_ns"] is None:

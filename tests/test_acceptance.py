@@ -39,7 +39,7 @@ from quenchsim import (
     site_populations,
     total_number,
 )
-from quenchsim.propagator import _krylov_expm
+from quenchsim.propagator import _Krylov
 from quenchsim.quenchlab import TABLE_S1_U_MHZ, load_config, preset, run_experiment
 
 L = 10
@@ -307,7 +307,7 @@ def test_12_conservation_suite():
     e0 = float(np.vdot(v, H.matvec(v)).real)  # zero for the alternating state
     num0 = float(np.vdot(v, N.matvec(v)).real)
     for _ in range(20):
-        v = _krylov_expm(H.matvec, v, 50.0, 1e-10, 30)
+        v = _Krylov(H.matvec).advance(v, 50.0)
         vv = float(np.vdot(v, v).real)
         n_drift = max(n_drift, abs(float(np.vdot(v, N.matvec(v)).real) / vv - num0))
         e_drift = max(e_drift, abs(float(np.vdot(v, H.matvec(v)).real) / vv - e0))

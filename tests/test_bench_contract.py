@@ -70,22 +70,25 @@ duration_ns = 1
     assert observe(0.0, psi0, cross=0.25).fidelity == 0.25
 
 
-def test_undriven_propagation_runs_inside_evolve_static(monkeypatch):
-    # the tracer times propagation only through evolve_static/evolve_driven,
-    # one call per sample interval, and bench/selfcheck.py asserts that the
-    # layer spans cover the run: a matvec outside them would escape both
+def _count_propagation(monkeypatch, entry, protocol, psi0):
+    """Run the protocol, counting calls of propagator.<entry> and matvecs.
+
+    The tracer times propagation only through evolve_static/evolve_driven,
+    one call per sample interval, and bench/selfcheck.py asserts that the
+    layer spans cover the run: a matvec outside them would escape both.
+    """
     from quenchsim import propagator
     from quenchsim.operators import SparseOperator
 
     counts = {"evolve": 0, "matvec": 0, "stray": 0}
     inside = [False]
-    evolve_static, matvec = propagator.evolve_static, SparseOperator.matvec
+    evolve, matvec = getattr(propagator, entry), SparseOperator.matvec
 
     def counted_evolve(*args, **kwargs):
         counts["evolve"] += 1
         inside[0] = True
         try:
-            return evolve_static(*args, **kwargs)
+            return evolve(*args, **kwargs)
         finally:
             inside[0] = False
 
@@ -94,13 +97,34 @@ def test_undriven_propagation_runs_inside_evolve_static(monkeypatch):
         counts["stray"] += not inside[0]
         return matvec(self, v)
 
-    monkeypatch.setattr(propagator, "evolve_static", counted_evolve)
+    monkeypatch.setattr(propagator, entry, counted_evolve)
     monkeypatch.setattr(SparseOperator, "matvec", counted_matvec)
+    pairs = list(propagator.run_protocol(protocol, psi0))
+    assert counts["evolve"] == len(pairs) - 1
+    assert counts["matvec"] > 0 and counts["stray"] == 0
+    return counts["evolve"]
+
+
+def test_undriven_propagation_runs_inside_evolve_static(monkeypatch):
+    from quenchsim import propagator
+
     L = 4
     seg = propagator.Segment(10.0, CouplingProfile.from_mhz([16.0] * (L - 1)),
                              AnharmonicityProfile.from_mhz([240.0] * L))
     protocol = propagator.Protocol((seg, propagator.reverse_of(seg)), sample_dt_ns=0.5)
     psi0 = parse_product_state("+1+0", build_basis(L, 3))
-    pairs = list(propagator.run_protocol(protocol, psi0))
-    assert counts["evolve"] == len(pairs) - 1 == 40
-    assert counts["matvec"] > 0 and counts["stray"] == 0
+    assert _count_propagation(monkeypatch, "evolve_static", protocol, psi0) == 40
+
+
+def test_driven_propagation_runs_inside_evolve_driven(monkeypatch):
+    from quenchsim import propagator
+    from quenchsim.operators import DriveSpec
+
+    L = 4
+    fwd, bwd = (DriveSpec.staggered_odd(L, eps, 120.0) for eps in (213.6, 400.0))
+    seg = propagator.Segment(2 * fwd.period_ns, CouplingProfile.from_mhz([10.8] * (L - 1)),
+                             AnharmonicityProfile.from_mhz([240.0] * L), drive=fwd)
+    protocol = propagator.Protocol((seg, propagator.reverse_of(seg, drive_override=bwd)),
+                                   sample_dt_ns=fwd.period_ns / 4)
+    psi0 = parse_product_state("+1+0", build_basis(L, 3))
+    assert _count_propagation(monkeypatch, "evolve_driven", protocol, psi0) == 16

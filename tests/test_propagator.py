@@ -116,35 +116,38 @@ class TestEvolveStatic:
         with pytest.raises(ValueError):
             evolve_static(H, psi, 1.0)
 
-    def test_nonconvergence_raises(self):
-        from quenchsim.propagator import _krylov_expm
+    def test_nonconvergence_raises(self, monkeypatch):
+        from quenchsim import propagator
 
         basis = build_basis(3, 3)
         H = random_hermitian_operator(basis, seed=5, scale=50.0)
         psi = random_state(basis, 6)
+        monkeypatch.setattr(propagator, "DEFAULT_KRYLOV_DIM", 3)
+        monkeypatch.setattr(propagator, "MAX_HALVINGS", 0)
         with pytest.raises(NumericsError):
-            _krylov_expm(H.matvec, psi.amplitudes, 100.0, 1e-10, 3, max_halvings=0)
+            propagator._Krylov(H.matvec).advance(psi.amplitudes, 100.0)
 
     @staticmethod
     def _substep_case():
-        # full basis, dim 81: at m_max=10 a 20 ns step needs many sub-steps
+        # full basis, dim 81: with 10-vector bases a 20 ns step needs many sub-steps
         basis = build_basis(4, 3)
         H = build_hopping(basis, CouplingProfile.from_mhz([16.0] * 3)) + \
             build_onsite_anharmonicity(
                 basis, AnharmonicityProfile.from_mhz([212.0, 264.0, 210.0, 268.0]))
         return H, parse_product_state("+1+0", basis)
 
-    def test_substeps_match_dense_oracle(self):
-        from quenchsim.propagator import _krylov_expm
+    def test_substeps_match_dense_oracle(self, monkeypatch):
+        from quenchsim import propagator
 
         H, psi = self._substep_case()
+        monkeypatch.setattr(propagator, "DEFAULT_KRYLOV_DIM", 10)
         for t in (20.0, -20.0):
-            mine = _krylov_expm(H.matvec, psi.amplitudes, t, 1e-10, 10)
+            mine = propagator._Krylov(H.matvec).advance(psi.amplitudes, t)
             ref = dense_propagate(H.dense(), psi.amplitudes, t)
             assert np.linalg.norm(mine - ref) < 1e-9
 
-    def test_substeps_reuse_each_basis(self):
-        from quenchsim.propagator import _krylov_expm
+    def test_substeps_reuse_each_basis(self, monkeypatch):
+        from quenchsim import propagator
 
         H, psi = self._substep_case()
         count = 0
@@ -154,21 +157,22 @@ class TestEvolveStatic:
             count += 1
             return H.matvec(v)
 
-        _krylov_expm(matvec, psi.amplitudes, 20.0, 1e-10, 10)
+        monkeypatch.setattr(propagator, "DEFAULT_KRYLOV_DIM", 10)
+        propagator._Krylov(matvec).advance(psi.amplitudes, 20.0)
         # The recursive-halving core discarded every basis that could not
         # certify its whole step and spent 630 matvecs on this call.
         assert count < 630
 
     def test_unitarity_raw_engine(self):
         # chain raw Krylov steps without renormalizing between them
-        from quenchsim.propagator import _krylov_expm
+        from quenchsim.propagator import _Krylov
 
         basis = build_basis(3, 3, sector=2)
         H = build_hopping(basis, CouplingProfile.from_mhz([16.0, 16.0])) + \
             build_onsite_anharmonicity(basis, AnharmonicityProfile.from_mhz([240.0] * 3))
         v = parse_product_state("110", basis).amplitudes
         for _ in range(100):
-            v = _krylov_expm(H.matvec, v, 10.0, 1e-10, 30)
+            v = _Krylov(H.matvec).advance(v, 10.0)
         assert abs(np.linalg.norm(v) - 1.0) < 1e-8
 
     @staticmethod
@@ -188,11 +192,11 @@ class TestEvolveStatic:
         (6, 3, "010101", 300.0),
     ])
     def test_long_step_after_ritz_convergence(self, L, N, state, t):
-        from quenchsim.propagator import _krylov_expm
+        from quenchsim.propagator import _Krylov
 
         basis, H = self._k3_chain(L, N)
         psi = parse_product_state(state, basis).amplitudes
-        raw = _krylov_expm(H.matvec, psi, t, 1e-10, 30)
+        raw = _Krylov(H.matvec).advance(psi, t)
         assert np.linalg.norm(raw - dense_propagate(H.dense(), psi, t)) < 1e-10
         assert abs(np.linalg.norm(raw) - 1.0) < 1e-13
 
@@ -201,7 +205,7 @@ class TestEvolveStatic:
         from quenchsim.propagator import _Krylov
 
         basis, H = self._k3_chain(10, 2)
-        krylov = _Krylov(H.matvec, 1e-10, 30)
+        krylov = _Krylov(H.matvec)
         krylov.start(parse_product_state("0001001000", basis).amplitudes)
         krylov.grow(500.0)
         k = krylov.k
@@ -226,7 +230,7 @@ class TestEvolveStatic:
             return H.matvec(v)
 
         monkeypatch.setattr(propagator.sla, "eigh_tridiagonal", counted_eigh)
-        propagator._krylov_expm(matvec, psi.amplitudes, 0.5, 1e-10, 30)
+        propagator._Krylov(matvec).advance(psi.amplitudes, 0.5)
         # probing at every size from 3 on took 9 eigh_tridiagonal calls
         # for the same 11 matvecs
         assert counts["eigh_tridiagonal"] <= 2
@@ -307,6 +311,34 @@ class TestEvolveDriven:
             evolve_driven(Hs, D, drive, psi, 10.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             evolve_driven(Hs, Hs, drive, psi, 0.0, 10.0, 1.0)  # D not diagonal
+        skew = SparseOperator(basis, np.triu(np.ones((basis.dim, basis.dim))), hermitian=False)
+        with pytest.raises(ValueError, match="Hermitian"):
+            evolve_driven(skew, D, drive, psi, 0.0, 10.0, 1.0)
+        other = parse_product_state("110", build_basis(3, 2))
+        with pytest.raises(ValueError, match="different bases"):
+            evolve_driven(Hs, D, drive, other, 0.0, 10.0, 1.0)
+
+    def test_empty_interval_returns_copy(self):
+        _, Hs, D, drive, psi = self._setup()
+        out = evolve_driven(Hs, D, drive, psi, 3.0, 3.0, 1.0)
+        assert out is not psi
+        np.testing.assert_array_equal(out.amplitudes, psi.amplitudes)
+
+    def test_one_basis_object_per_call(self, monkeypatch):
+        # its 2 * nsub exponentials share one _Krylov and so one set of rows
+        from quenchsim import propagator
+
+        built = []
+        init = propagator._Krylov.__init__
+
+        def counted_init(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(propagator._Krylov, "__init__", counted_init)
+        _, Hs, D, drive, psi = self._setup()
+        evolve_driven(Hs, D, drive, psi, 0.0, drive.period_ns, drive.period_ns / 8)
+        assert len(built) == 1
 
 
 def make_segment(duration, J_mhz, U_mhz, L, Omega_mhz=None, drive=None, **kw):
@@ -340,6 +372,14 @@ class TestReverseOf:
 
 
 class TestProtocol:
+    def test_argument_errors(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            make_segment(-1.0, 10.0, 0.0, 2)
+        with pytest.raises(ValueError, match="sign"):
+            make_segment(1.0, 10.0, 0.0, 2, sign=0)
+        with pytest.raises(ValueError, match="positive"):
+            Protocol((), sample_dt_ns=0)
+
     def test_empty_protocol_single_sample(self):
         basis = build_basis(2, 2)
         psi0 = parse_product_state("01", basis)

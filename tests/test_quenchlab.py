@@ -62,6 +62,83 @@ mode = single-run
 duration_ns = 20
 """
 
+REVERSAL = MINIMAL.replace("mode = single-run\nduration_ns = 20", "mode = time-reversal\nforward_ns = 20")
+COMPARE = MINIMAL.replace("mode = single-run", "mode = one-direction-compare")
+SPECTRUM = """
+[lattice]
+sites = 4
+levels = 3
+
+[protocol]
+mode = spectrum
+
+[spectrum]
+particles = 2
+"""
+DRIVE = "[protocol]\ndrive_frequency_mhz = 120\ndrive_forward_mhz = 213.6\n"
+
+# Each document names one key its mode never reads; all of them used to load
+# and run with that key silently dropped.
+UNREAD_CASES = [
+    (SPECTRUM + "[profiles]\ntransverse_mhz = 50\n", "transverse_mhz"),
+    (SPECTRUM + "[profiles]\ncoupling_and_field_mhz = 4\n", "coupling_and_field_mhz"),
+    (SPECTRUM + "[state]\ninitial = 0101\n", "initial"),
+    (SPECTRUM + "[state]\n" + "".join(f"amplitudes_q{j} = 1, 0\n" for j in range(1, 5)),
+     "amplitudes_q1"),
+    (SPECTRUM + "[protocol]\nforward_ns = 10\n", "forward_ns"),
+    (SPECTRUM + "[protocol]\nassumed_duration_ns = 10\n", "assumed_duration_ns"),
+    (SPECTRUM + DRIVE, "drive_frequency_mhz"),
+    (SPECTRUM + "[sampling]\ndt_ns = 0.5\n", "dt_ns"),
+    (SPECTRUM + "[observables]\nobservables = fidelity\n", "observables"),
+    (SPECTRUM + "[sweep]\naxis_transverse_mhz = 0, 50\n", "axis_transverse_mhz"),
+    (REVERSAL + "[protocol]\nduration_ns = 20\n", "duration_ns"),
+    (REVERSAL + "[protocol]\nassumed_duration_ns = 20\n", "assumed_duration_ns"),
+    (REVERSAL + "[spectrum]\nparticles = 1\n", "particles"),
+    (MINIMAL + "[protocol]\nforward_ns = 99\n", "forward_ns"),
+    (MINIMAL + "[protocol]\nassumed_forward_ns = 99\n", "assumed_forward_ns"),
+    (MINIMAL + "[spectrum]\nparticles = 2\n", "particles"),
+    (MINIMAL + DRIVE + "drive_backward_mhz = 400\n", "drive_backward_mhz"),
+    (COMPARE + "[protocol]\nforward_ns = 10\n", "forward_ns"),
+    (COMPARE + "[sweep]\naxis_particles = 1, 2\n", "axis_particles"),
+    (REVERSAL + DRIVE + "drive_backward_mhz = 400\n[sampling]\nstroboscopic = true\ndt_ns = 1\n",
+     "dt_ns"),
+    (MINIMAL + DRIVE + "[sampling]\nstroboscopic = true\n[sweep]\naxis_dt_ns = 1, 2\n", "axis_dt_ns"),
+]
+
+# Rejections with the key each ConfigError names (None: the line itself).
+REJECTED_CASES = [
+    ("non_integer_sites", MINIMAL.replace("sites = 2", "sites = 2.5"), "sites", "integer"),
+    ("stroboscopic_maybe", MINIMAL + "[sampling]\nstroboscopic = maybe\n",
+     "stroboscopic", "true/false"),
+    ("unknown_mode", MINIMAL.replace("single-run", "sideways"), "mode", "expected one of"),
+    ("unknown_observable", MINIMAL + "[observables]\nobservables = fidelity, spin\n",
+     "observables", "unknown observable"),
+    ("negative_anharmonicity", MINIMAL + "[profiles]\nanharmonicity_mhz = -5\n",
+     "anharmonicity_mhz", "non-negative"),
+    ("one_amplitude", MINIMAL.replace("initial = 01", "amplitudes_q1 = 1\namplitudes_q2 = 1, 0"),
+     "amplitudes_q1", "amp0, amp1"),
+    ("bad_amplitude", MINIMAL.replace("initial = 01", "amplitudes_q1 = a, b\namplitudes_q2 = 1, 0"),
+     "amplitudes_q1", "bad complex"),
+    ("empty_axis", MINIMAL + "[sweep]\naxis_dt_ns = ,\n", "axis_dt_ns", "empty axis"),
+    ("line_without_equals", MINIMAL + "[lattice]\nsites\n", None, "key = value"),
+    ("key_before_section", "sites = 2\n" + MINIMAL, None, "outside any"),
+    ("missing_sites", MINIMAL.replace("sites = 2\n", ""), "sites", "missing required"),
+    ("pair_beyond_chain",
+     MINIMAL.replace("initial = 01", "amplitudes_q1 = 1, 0\namplitudes_q2 = 1, 0\n"
+                     "amplitudes_q3 = 1, 0"), "amplitudes_q3", "beyond the chain"),
+    ("missing_pair", MINIMAL.replace("initial = 01", "amplitudes_q1 = 1, 0"),
+     "amplitudes_q2", "missing"),
+    ("single_run_without_duration", MINIMAL.replace("duration_ns = 20\n", ""),
+     "duration_ns", "needs duration_ns"),
+    ("compare_with_drive", COMPARE + DRIVE, "drive_forward_mhz", "does not support a drive"),
+    ("spectrum_without_particles", SPECTRUM.replace("particles = 2\n", ""),
+     "particles", "needs"),
+    ("particles_beyond_chain", SPECTRUM.replace("particles = 2", "particles = 9"),
+     "particles", "outside"),
+    ("no_initial_state", MINIMAL.replace("initial = 01\n", ""), "initial", "missing initial"),
+    ("unreadable_path", os.path.dirname(os.path.abspath(__file__)), None, "cannot read"),
+]
+
 
 class TestLoadConfig:
     def test_minimal_with_defaults(self):
@@ -254,6 +331,42 @@ duration_ns = 5
         with pytest.raises(ConfigError, match=match):
             load_config(MINIMAL + "\n" + extra + "\n")
 
+    @pytest.mark.parametrize("text,key", UNREAD_CASES, ids=[
+        f"{text.split('mode = ')[1].split()[0]}:{key}" for text, key in UNREAD_CASES])
+    def test_key_the_mode_does_not_read(self, text, key):
+        with pytest.raises(ConfigError, match="does not read this key") as err:
+            load_config(text)
+        assert err.value.key == key
+        assert err.value.line == [line.split(" =")[0] for line in text.splitlines()].index(key) + 1
+
+    def test_mode_axis_reads_the_keys_of_every_mode(self):
+        text = MINIMAL + "[protocol]\nforward_ns = 10\n[sweep]\naxis_mode = single-run, time-reversal\n"
+        cfg = load_config(text)
+        assert cfg.with_overrides({"mode": "time-reversal"}).forward_ns == 10.0
+        with pytest.raises(ConfigError, match="does not read") as err:
+            load_config(text + "[spectrum]\nparticles = 1\n")
+        assert err.value.key == "particles"
+
+    def test_override_the_mode_does_not_read(self):
+        with pytest.raises(ConfigError, match="single-run mode does not read") as err:
+            load_config(MINIMAL).with_overrides({"forward_ns": "5"})
+        assert err.value.key == "forward_ns" and err.value.line is None
+
+    @pytest.mark.parametrize("source,key,match", [case[1:] for case in REJECTED_CASES],
+                             ids=[case[0] for case in REJECTED_CASES])
+    def test_rejected(self, source, key, match):
+        with pytest.raises(ConfigError, match=match) as err:
+            load_config(source)
+        assert err.value.key == key
+
+    def test_exact_length_lists_kept(self):
+        text = MINIMAL.replace("sites = 2\nlevels = 2", "sites = 4\nlevels = 2").replace(
+            "initial = 01", "initial = 0101")
+        cfg = load_config(text + "[profiles]\ncoupling_mhz = 4, 8, 16\n"
+                          "anharmonicity_mhz = 200, 210, 220, 230\n")
+        assert cfg.coupling_mhz == (4.0, 8.0, 16.0)
+        assert cfg.anharmonicity_mhz == (200.0, 210.0, 220.0, 230.0)
+
     def test_overrides_revalidate(self):
         cfg = load_config(MINIMAL)
         with pytest.raises(ConfigError):
@@ -326,6 +439,12 @@ class TestPresets:
 
 
 class TestRunExperiment:
+    def test_zero_forward_reversal_is_one_record(self):
+        # both segments are empty: run_protocol skips them
+        records = run_experiment(load_config(REVERSAL.replace("forward_ns = 20", "forward_ns = 0")))
+        assert len(records) == 1
+        assert records[0].time_ns == 0.0 and records[0].fidelity == pytest.approx(1.0)
+
     def test_two_level_reversal_returns_unity(self):
         text = """
 [lattice]
@@ -506,8 +625,11 @@ observables = populations, anharmonicity
 class TestRecords:
     def _records(self):
         cfg = load_config(
-            MINIMAL + "\n[observables]\nobservables = populations, fidelity, entropy, anharmonicity, pauli\n"
-        ).with_overrides({"mode": "time-reversal", "forward_ns": "10", "dt_ns": "5"})
+            MINIMAL.replace("mode = single-run\nduration_ns = 20",
+                            "mode = time-reversal\nforward_ns = 10")
+            + "\n[sampling]\ndt_ns = 5\n"
+            + "\n[observables]\nobservables = populations, fidelity, entropy, anharmonicity, pauli\n"
+        )
         return cfg, run_experiment(cfg)
 
     def test_csv_schema_and_totals(self, tmp_path):
@@ -703,6 +825,19 @@ class TestCli:
         assert main(["run", "-c", str(cfg_path), "-o", str(tmp_path / "o.csv")]) == 2
         assert "levels" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("text,key", [
+        (SPECTRUM + "[profiles]\ntransverse_mhz = 50\n[protocol]\ndrive_frequency_mhz = 120\n"
+         "drive_forward_mhz = 300\n", "transverse_mhz"),
+        (MINIMAL + "[protocol]\nforward_ns = 99\n[spectrum]\nparticles = 2\n", "forward_ns"),
+    ], ids=["spectrum", "single-run"])
+    def test_unread_key_exit_2(self, tmp_path, capsys, text, key):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(text)
+        out = tmp_path / "o.csv"
+        assert main(["run", "-c", str(cfg_path), "-o", str(out)]) == 2
+        assert f"key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_validation_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
