@@ -480,4 +480,6 @@ def run_protocol(protocol: Protocol, psi0: StateVector) -> Iterator[tuple[float,
             yield t_next, psi
             t_prev = t_next
             next_sample += 1
-        krylov = None  # free the basis before the next segment is assembled
+        # free the basis and operators before the next segment is assembled,
+        # so a reversal never holds both directions' Hamiltonians
+        krylov = H = D = None

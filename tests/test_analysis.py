@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from quenchsim import (
     site_populations,
 )
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 PAGE_10 = (10 * math.log(2) - 1) / 2
 
 
@@ -91,6 +96,19 @@ class TestPopulations:
         pops = site_populations(psi)
         np.testing.assert_allclose(pops.sum(axis=1), np.ones(3), atol=1e-12)
         assert np.all(pops >= 0)
+
+    @pytest.mark.parametrize(
+        "L,K,sector",
+        [(6, 3, None), (6, 4, 5), (6, 3, range(2, 7)), (1, 3, None), (7, 2, None)],
+        ids=["full", "sector", "range", "one-site", "two-level"],
+    )
+    def test_matches_per_site_bincount(self, L, K, sector):
+        basis = build_basis(L, K, sector=sector)
+        psi = random_state(basis, 5)
+        weights = np.abs(psi.amplitudes) ** 2
+        expected = [np.bincount(basis.states[:, j], weights=weights, minlength=K)
+                    for j in range(L)]
+        np.testing.assert_allclose(site_populations(psi), expected, rtol=0, atol=1e-14)
 
     def test_embedding_keeps_low_level_populations(self):
         small = build_basis(4, 2)
@@ -242,6 +260,57 @@ class TestSectorSpectrum:
         mask = full.states.sum(axis=1) == N
         block = H[np.ix_(mask, mask)]
         np.testing.assert_allclose(rep.eigenvalues, np.linalg.eigh(block)[0], atol=1e-10)
+
+    def test_matches_complex_dense_eigh(self):
+        # four bands (anharmonicity 0, 2, 4, 6) with generic couplings
+        L, N, K = 6, 4, 4
+        cp = CouplingProfile.from_mhz([16.0, 12.0, 19.0, 14.0, 11.0])
+        up = AnharmonicityProfile.from_mhz([212.0, 264.0, 210.0, 251.0, 238.0, 226.0])
+        rep = sector_spectrum(L, N, K, cp, up)
+        basis = build_basis(L, K, sector=N)
+        H = build_hopping(basis, cp) + build_onsite_anharmonicity(basis, up)
+        evals, evecs = np.linalg.eigh(H.dense())
+        n = basis.states.astype(np.float64)
+        w = (n * (n - 1.0)).sum(axis=1)
+        a_vals = w @ (np.abs(evecs) ** 2)
+        bands = np.unique(w)[np.argmin(np.abs(a_vals[:, None] - np.unique(w)), axis=1)]
+        assert set(bands.tolist()) == {0, 2, 4, 6}
+        np.testing.assert_allclose(rep.eigenvalues, evals, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(rep.anharmonicity, a_vals, rtol=0, atol=1e-10)
+        np.testing.assert_array_equal(rep.bands, bands)
+
+    @pytest.mark.parametrize("L,N,level", [(4, 0, 0), (1, 2, 2)], ids=["empty", "one-site"])
+    def test_single_state_sector(self, L, N, level):
+        U = omega_from_mhz(240.0)
+        rep = sector_spectrum(L, N, 3, CouplingProfile.from_mhz([8.0] * (L - 1)),
+                              AnharmonicityProfile((U,) * L))
+        assert rep.dim == 1
+        np.testing.assert_allclose(rep.eigenvalues, [-U / 2 * level * (level - 1)], rtol=1e-14)
+        np.testing.assert_array_equal(rep.anharmonicity, [level * (level - 1)])
+        np.testing.assert_array_equal(rep.bands, [level * (level - 1)])
+        assert not rep.ambiguous.any()
+
+    def test_solve_holds_three_matrices(self):
+        # the spectrum of the dim-2002 sector may grow peak memory by at
+        # most 3.5 n x n doubles: the real matrix the eigenvectors
+        # overwrite, and dsyevd's workspace of two
+        code = textwrap.dedent("""
+            import resource
+            from quenchsim import AnharmonicityProfile, CouplingProfile, sector_spectrum
+            def spectrum(L, N, K):
+                return sector_spectrum(L, N, K, CouplingProfile.from_mhz([8.0] * (L - 1)),
+                                       AnharmonicityProfile.from_mhz([240.0] * L))
+            spectrum(4, 2, 3)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            n = spectrum(10, 5, 6).dim
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            print(n, (after - before) * 1024 / (8 * n * n))
+        """)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=SRC))
+        n, growth = out.stdout.split()
+        assert int(n) == 2002
+        assert float(growth) <= 3.5
 
     def test_anharmonicity_range_and_bands(self):
         rep = sector_spectrum(

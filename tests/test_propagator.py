@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -469,6 +470,37 @@ class TestProtocol:
             if t > T + 1e-9:
                 ref = dense_propagate(H_bwd, ref, t - T)
             assert np.linalg.norm(state.amplitudes - ref) < 1e-10
+
+    @pytest.mark.parametrize("driven", [False, True], ids=["undriven", "driven"])
+    def test_segment_operators_freed_before_next_assembly(self, monkeypatch, driven):
+        # a reversal must not hold the forward operators while it assembles
+        # the backward ones
+        L = 3
+        drive = DriveSpec.staggered_odd(L, 213.6, 120.0) if driven else None
+        seg = make_segment(2.0 if drive is None else 2 * drive.period_ns, 16.0, 240.0, L,
+                           drive=drive)
+        psi0 = parse_product_state("+10", build_basis(L, 3))
+        refs, alive_at_assembly = [], []
+        static, drive_operator = Segment.static_hamiltonian, Segment.drive_operator
+
+        def tracked(build):
+            def wrapper(self, basis):
+                op = build(self, basis)
+                if op is not None:
+                    refs.append(weakref.ref(op))
+                return op
+            return wrapper
+
+        def static_hamiltonian(self, basis):
+            alive_at_assembly.append(sum(r() is not None for r in refs))
+            return tracked(static)(self, basis)
+
+        monkeypatch.setattr(Segment, "static_hamiltonian", static_hamiltonian)
+        monkeypatch.setattr(Segment, "drive_operator", tracked(drive_operator))
+        proto = Protocol((seg, reverse_of(seg)), sample_dt_ns=seg.duration_ns / 2)
+        assert len(list(run_protocol(proto, psi0))) == 5
+        assert len(refs) == (4 if driven else 2)
+        assert alive_at_assembly == [0, 0]
 
     def test_number_conservation_without_field(self):
         L = 4
