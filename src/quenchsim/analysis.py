@@ -182,10 +182,24 @@ def pauli_expectation(psi: StateVector, site: int, axis: str) -> float:
     return float(-2.0 * cross.imag)
 
 
+@lru_cache(maxsize=16)
+def _anharmonicity_weights(basis: FockBasis) -> np.ndarray:
+    """Read-only ``sum_j n_j (n_j - 1)`` of every basis state.
+
+    Summed one site at a time, so no (dim, L) float copy of the states is
+    made; the terms are integers, so the sum is exact in any order.
+    """
+    w = np.zeros(basis.dim)
+    for j in range(basis.L):
+        n = basis.states[:, j].astype(np.float64)
+        w += n * (n - 1.0)
+    w.setflags(write=False)
+    return w
+
+
 def anharmonicity_expectation(psi: StateVector) -> float:
     """Expectation of ``sum_j n_j (n_j - 1)``, the doubly-occupied weight."""
-    n = psi.basis.states.astype(np.float64)
-    w = (n * (n - 1.0)).sum(axis=1)
+    w = _anharmonicity_weights(psi.basis)
     return float(np.sum(w * np.abs(psi.amplitudes) ** 2))
 
 
@@ -268,8 +282,7 @@ def sector_spectrum(
     # Fortran order lets dsyevd write the eigenvectors over it, uncopied
     dense = H.matrix.real.toarray(order="F")
     evals, evecs = sla.eigh(dense, overwrite_a=True, driver="evd")
-    n = basis.states.astype(np.float64)
-    w = (n * (n - 1.0)).sum(axis=1)
+    w = _anharmonicity_weights(basis)
     a_vals = w @ np.square(evecs, out=evecs)
     attainable = np.unique(w)
     nearest = np.argmin(np.abs(a_vals[:, None] - attainable[None, :]), axis=1)

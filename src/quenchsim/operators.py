@@ -6,6 +6,12 @@ The model is assembled from four pieces: the nearest-neighbour hopping
 sinusoidal frequency modulation, and the transverse field
 ``(1/2) sum_j Omega_j (a+_j + a_j)``.
 
+Every operator is assembled by ``_assemble``: each term hands it either a
+diagonal or the (source, target, amplitude) index pairs of its hops, and it
+counts each row's entries and scatters every term straight into the CSR
+arrays. ``Segment.static_hamiltonian`` passes all of its terms in one call,
+so a Hamiltonian is built without per-term matrices or summed copies.
+
 Unit convention: every user-facing frequency is quoted as ``f = value/2pi``
 in MHz, exactly as device parameters are usually reported. Internally all
 profiles store angular frequencies in rad/ns (``omega = 2*pi*f*1e-3``) and
@@ -177,20 +183,6 @@ class SparseOperator:
         self.matrix = matrix
         self.hermitian = bool(hermitian)
 
-    @classmethod
-    def from_triplets(cls, basis, rows, cols, vals, hermitian: bool) -> "SparseOperator":
-        m = sp.coo_matrix(
-            (np.asarray(vals, dtype=np.complex128), (rows, cols)),
-            shape=(basis.dim, basis.dim),
-        )
-        return cls(basis, m.tocsr(), hermitian)
-
-    @classmethod
-    def from_diagonal(cls, basis, diag) -> "SparseOperator":
-        diag = np.asarray(diag, dtype=np.complex128)
-        hermitian = bool(np.all(diag.imag == 0))
-        return cls(basis, sp.diags(diag, format="csr"), hermitian)
-
     @property
     def dim(self) -> int:
         return self.basis.dim
@@ -249,30 +241,53 @@ class SparseOperator:
         return f"SparseOperator({self.basis!r}, nnz={self.nnz}, {tag})"
 
 
-def _hermitian_pairs(basis: FockBasis, pairs) -> SparseOperator:
-    """Hermitian operator with entries ``amp`` at (tgt, src) and (src, tgt).
+def _assemble(basis: FockBasis, diag, pairs) -> SparseOperator:
+    """Hermitian operator ``diag`` plus ``amp`` at (tgt, src) and (src, tgt).
 
-    ``pairs`` is a list of (src, tgt, amp) index and real-amplitude arrays;
-    each contributes both mirrored entries, so the result is exactly
-    Hermitian. An empty list gives the zero operator.
+    ``diag`` is a real vector or None; ``pairs`` is a list of (src, tgt,
+    amp) index and real-amplitude arrays, and each contributes both
+    mirrored entries, so the result is exactly Hermitian. The entries of
+    each row are counted, every term is scattered straight into the CSR
+    arrays, and each row's columns are sorted in place; zero entries are
+    dropped. No row may repeat within one index array and no two terms may
+    share an entry: a bond or site term maps each state to at most one
+    other, and distinct terms map it to distinct states.
     """
-    if not pairs:
-        return SparseOperator(basis, sp.csr_matrix((basis.dim, basis.dim)), True)
-    rows = [a for src, tgt, _ in pairs for a in (tgt, src)]
-    cols = [a for src, tgt, _ in pairs for a in (src, tgt)]
-    vals = [a for _, _, amp in pairs for a in (amp, amp)]
-    return SparseOperator.from_triplets(
-        basis, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), True
-    )
+    dim = basis.dim
+    parts = []
+    if diag is not None:
+        on = np.flatnonzero(diag)
+        parts.append((on, on, diag[on]))
+    for src, tgt, amp in pairs:
+        if not amp.all():
+            keep = amp != 0
+            src, tgt, amp = src[keep], tgt[keep], amp[keep]
+        parts += [(tgt, src, amp), (src, tgt, amp)]
+    ends = np.zeros(dim, dtype=np.int64)
+    for rows, _, _ in parts:
+        ends += np.bincount(rows, minlength=dim)
+    np.cumsum(ends, out=ends)
+    nnz = int(ends[-1])
+    index = np.int32 if max(nnz, dim) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(dim + 1, dtype=index)
+    indptr[1:] = ends
+    indices = np.empty(nnz, dtype=index)
+    data = np.empty(nnz, dtype=np.complex128)
+    fill = ends  # each row fills from its end back to its start
+    for rows, cols, vals in parts:
+        fill[rows] -= 1
+        at = fill[rows]
+        indices[at] = cols
+        data[at] = vals
+    if not np.array_equal(fill, indptr[:-1]):
+        raise ValueError("a row repeats within one term")
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+    matrix.sort_indices()
+    return SparseOperator(basis, matrix, True)
 
 
-def build_hopping(basis: FockBasis, profile: CouplingProfile) -> SparseOperator:
-    """Hopping term ``sum_j J_j (a+_j a_{j+1} + h.c.)`` over the basis.
-
-    Bosonic matrix elements ``a+|n> = sqrt(n+1)|n+1>`` truncated at K-1.
-    The result conserves total occupation, so it is block diagonal over
-    number sectors and valid on sector bases.
-    """
+def _hopping_pairs(basis: FockBasis, profile: CouplingProfile) -> list:
+    """(src, tgt, amp) of ``J_j a+_j a_{j+1}`` for each bond with J_j != 0."""
     if len(profile) != basis.L - 1:
         raise ValueError(f"coupling profile needs {basis.L - 1} bonds, got {len(profile)}")
     n = basis.states
@@ -287,18 +302,32 @@ def build_hopping(basis: FockBasis, profile: CouplingProfile) -> SparseOperator:
         )
         shift = int(basis.site_radix[j]) - int(basis.site_radix[j + 1])
         pairs.append((src, basis.indices_from_codes(basis.codes[src] + shift), amp))
-    return _hermitian_pairs(basis, pairs)
+    return pairs
+
+
+def build_hopping(basis: FockBasis, profile: CouplingProfile) -> SparseOperator:
+    """Hopping term ``sum_j J_j (a+_j a_{j+1} + h.c.)`` over the basis.
+
+    Bosonic matrix elements ``a+|n> = sqrt(n+1)|n+1>`` truncated at K-1.
+    The result conserves total occupation, so it is block diagonal over
+    number sectors and valid on sector bases.
+    """
+    return _assemble(basis, None, _hopping_pairs(basis, profile))
+
+
+def _anharmonicity_diagonal(basis: FockBasis, profile: AnharmonicityProfile) -> np.ndarray:
+    """Diagonal of ``sum_j (-U_j/2) n_j (n_j - 1)``."""
+    if len(profile) != basis.L:
+        raise ValueError(f"anharmonicity profile needs {basis.L} sites, got {len(profile)}")
+    n = basis.states.astype(np.float64)
+    return (n * (n - 1.0)) @ (-0.5 * np.asarray(profile.values))
 
 
 def build_onsite_anharmonicity(
     basis: FockBasis, profile: AnharmonicityProfile
 ) -> SparseOperator:
     """Diagonal term ``sum_j (-U_j/2) n_j (n_j - 1)``."""
-    if len(profile) != basis.L:
-        raise ValueError(f"anharmonicity profile needs {basis.L} sites, got {len(profile)}")
-    n = basis.states.astype(np.float64)
-    diag = (n * (n - 1.0)) @ (-0.5 * np.asarray(profile.values))
-    return SparseOperator.from_diagonal(basis, diag)
+    return _assemble(basis, _anharmonicity_diagonal(basis, profile), [])
 
 
 def build_number_weighted(basis: FockBasis, weights: Sequence[float]) -> SparseOperator:
@@ -306,8 +335,7 @@ def build_number_weighted(basis: FockBasis, weights: Sequence[float]) -> SparseO
     weights = np.asarray(weights, dtype=np.float64)
     if weights.size != basis.L:
         raise ValueError(f"need {basis.L} weights, got {weights.size}")
-    diag = basis.states.astype(np.float64) @ weights
-    return SparseOperator.from_diagonal(basis, diag)
+    return _assemble(basis, basis.states.astype(np.float64) @ weights, [])
 
 
 def total_number(basis: FockBasis) -> SparseOperator:
@@ -315,12 +343,8 @@ def total_number(basis: FockBasis) -> SparseOperator:
     return build_number_weighted(basis, np.ones(basis.L))
 
 
-def build_transverse(basis: FockBasis, profile: TransverseProfile) -> SparseOperator:
-    """Transverse term ``(1/2) sum_j Omega_j (a+_j + a_j)``.
-
-    Breaks particle-number conservation, so it is only defined over the
-    full (unrestricted) space; a sector basis raises ValueError.
-    """
+def _transverse_pairs(basis: FockBasis, profile: TransverseProfile) -> list:
+    """(src, tgt, amp) of ``(Omega_j/2) a+_j`` for each site with Omega_j != 0."""
     if len(profile) != basis.L:
         raise ValueError(f"transverse profile needs {basis.L} sites, got {len(profile)}")
     if basis.sector is not None:
@@ -336,7 +360,16 @@ def build_transverse(basis: FockBasis, profile: TransverseProfile) -> SparseOper
         amp = 0.5 * Oj * np.sqrt(n[src, j].astype(np.float64) + 1.0)
         tgt = basis.indices_from_codes(basis.codes[src] + int(basis.site_radix[j]))
         pairs.append((src, tgt, amp))
-    return _hermitian_pairs(basis, pairs)
+    return pairs
+
+
+def build_transverse(basis: FockBasis, profile: TransverseProfile) -> SparseOperator:
+    """Transverse term ``(1/2) sum_j Omega_j (a+_j + a_j)``.
+
+    Breaks particle-number conservation, so it is only defined over the
+    full (unrestricted) space; a sector basis raises ValueError.
+    """
+    return _assemble(basis, None, _transverse_pairs(basis, profile))
 
 
 def bessel_j0(x: float) -> float:

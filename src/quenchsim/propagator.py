@@ -35,10 +35,11 @@ from .operators import (
     DriveSpec,
     SparseOperator,
     TransverseProfile,
-    build_hopping,
+    _anharmonicity_diagonal,
+    _assemble,
+    _hopping_pairs,
+    _transverse_pairs,
     build_number_weighted,
-    build_onsite_anharmonicity,
-    build_transverse,
 )
 
 __all__ = [
@@ -110,9 +111,11 @@ class _Krylov:
     residual's leading Taylor term, prod(beta_1..beta_k) |tau|**k / (k-1)!,
     is below ``DEFAULT_TOL`` (or the basis is full): about one probe per
     result, trusted where ``_Ritz.certifies`` holds. The basis holds at most
-    ``DEFAULT_KRYLOV_DIM`` rows, separate 1-D arrays reused by every rebuild:
-    unlike one 2-D block they fit into heap that operator assembly has
-    freed. matvec must return a new array: the recurrence updates it in place.
+    ``DEFAULT_KRYLOV_DIM`` rows, separate 1-D arrays allocated as it first
+    grows and reused by every rebuild, so a basis that certifies at k rows
+    holds k of them; on the full basis these rows, not operator assembly,
+    set a run's peak memory. matvec must return a new array: the recurrence
+    updates it in place.
     """
 
     def __init__(self, matvec):
@@ -234,10 +237,11 @@ class _Krylov:
 
 
 def _finish(basis: FockBasis, raw: np.ndarray) -> StateVector:
+    """The normalized state of raw, a fresh result of ``_Krylov.advance``."""
     nrm = float(np.linalg.norm(raw))
     if abs(nrm - 1.0) > 1e-8:
         raise NumericsError(f"propagated state norm drifted to {nrm:.3e}")
-    return StateVector(basis, raw / nrm, normalize=False)
+    return StateVector(basis, np.divide(raw, nrm, out=raw), normalize=False)
 
 
 def evolve_static(H: SparseOperator, psi: StateVector, dt_ns: float, _krylov=None) -> StateVector:
@@ -346,12 +350,14 @@ class Segment:
             raise ValueError("sign must be +1 or -1")
 
     def static_hamiltonian(self, basis: FockBasis) -> SparseOperator:
-        sign = float(self.sign)
-        H = sign * build_hopping(basis, self.coupling)
-        H = H + build_onsite_anharmonicity(basis, self.anharmonicity)
+        """Hopping, anharmonicity and transverse terms assembled in one pass."""
+        diag = _anharmonicity_diagonal(basis, self.anharmonicity)
+        pairs = _hopping_pairs(basis, self.coupling)
         if self.transverse is not None and not self.transverse.is_zero():
-            H = H + sign * build_transverse(basis, self.transverse)
-        return H
+            pairs += _transverse_pairs(basis, self.transverse)
+        for _, _, amp in pairs:
+            amp *= self.sign
+        return _assemble(basis, diag, pairs)
 
     def drive_operator(self, basis: FockBasis) -> SparseOperator | None:
         if self.drive is None or not self.drive.is_active():

@@ -192,6 +192,21 @@ class TestAnharmonicityExpectation:
         psi = parse_product_state("50", basis)
         assert anharmonicity_expectation(psi) == pytest.approx(20.0)
 
+    @pytest.mark.parametrize("sector", [None, 4, range(2, 6)])
+    def test_cached_weights_match_per_state_formula(self, sector):
+        from quenchsim.analysis import _anharmonicity_weights
+
+        basis = build_basis(6, 4, sector=sector)
+        n = basis.states.astype(np.float64)
+        w_ref = (n * (n - 1.0)).sum(axis=1)
+        w = _anharmonicity_weights(basis)
+        assert w is _anharmonicity_weights(build_basis(6, 4, sector=sector))
+        assert not w.flags.writeable
+        np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-14)
+        psi = random_state(basis, 11)
+        ref = float(np.sum(w_ref * np.abs(psi.amplitudes) ** 2))
+        assert anharmonicity_expectation(psi) == pytest.approx(ref, rel=0, abs=1e-14)
+
 
 class TestEntropy:
     def test_product_state_zero(self):
@@ -293,17 +308,22 @@ class TestSectorSpectrum:
     def test_solve_holds_three_matrices(self):
         # the spectrum of the dim-2002 sector may grow peak memory by at
         # most 3.5 n x n doubles: the real matrix the eigenvectors
-        # overwrite, and dsyevd's workspace of two
+        # overwrite, and dsyevd's workspace of two. The peak is the
+        # process's own VmHWM: ru_maxrss of a child starts at its parent's
+        # resident size, so inside the full suite it did not move.
         code = textwrap.dedent("""
-            import resource
             from quenchsim import AnharmonicityProfile, CouplingProfile, sector_spectrum
+            def peak_kb():
+                with open("/proc/self/status") as status:
+                    return next(int(line.split()[1]) for line in status
+                                if line.startswith("VmHWM:"))
             def spectrum(L, N, K):
                 return sector_spectrum(L, N, K, CouplingProfile.from_mhz([8.0] * (L - 1)),
                                        AnharmonicityProfile.from_mhz([240.0] * L))
             spectrum(4, 2, 3)
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            before = peak_kb()
             n = spectrum(10, 5, 6).dim
-            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            after = peak_kb()
             print(n, (after - before) * 1024 / (8 * n * n))
         """)
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from quenchsim import (
     AnharmonicityProfile,
     CouplingProfile,
     DriveSpec,
+    Segment,
     StateVector,
     TransverseProfile,
     bessel_j0,
@@ -23,6 +28,7 @@ from quenchsim import (
 )
 
 TWO_PI = 2 * math.pi
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def ladder_dense(K):
@@ -280,3 +286,96 @@ class TestSparseOperatorAlgebra:
         A = build_hopping(basis, CouplingProfile.from_mhz([10.0]))
         val = A.expectation(random_state(basis, 7))
         assert isinstance(val, float)
+
+
+def loop_terms(basis, J, U, Omega):
+    """Dense hopping, anharmonicity and transverse terms, one state at a time."""
+    hop, anh, trans = (np.zeros((basis.dim, basis.dim)) for _ in range(3))
+    for i in range(basis.dim):
+        n = list(basis.occupation_at(i))
+        anh[i, i] = sum(-0.5 * U[j] * n[j] * (n[j] - 1) for j in range(basis.L))
+        for j in range(basis.L - 1):
+            if n[j] < basis.K - 1 and n[j + 1] > 0:
+                m = n.copy()
+                m[j] += 1
+                m[j + 1] -= 1
+                k = basis.index_of(m)
+                hop[k, i] = hop[i, k] = J[j] * math.sqrt((n[j] + 1) * n[j + 1])
+        if basis.sector is None:
+            for j in range(basis.L):
+                if n[j] < basis.K - 1:
+                    m = n.copy()
+                    m[j] += 1
+                    k = basis.index_of(m)
+                    trans[k, i] = trans[i, k] = 0.5 * Omega[j] * math.sqrt(n[j] + 1)
+    return hop, anh, trans
+
+
+class TestOnePassAssembly:
+    """Every term and a segment's whole Hamiltonian go through one assembler."""
+
+    # one zero bond coupling and one zero transverse site
+    cp = CouplingProfile.from_mhz([10.8, 0.0, 12.0])
+    up = AnharmonicityProfile.from_mhz([212.0, 264.0, 210.0, 268.0])
+    tp = TransverseProfile.from_mhz([5.0, 0.0, 6.0, 7.0])
+    SECTORS = {"full": None, "sector": 3, "range": range(2, 5)}
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    @pytest.mark.parametrize("kind", sorted(SECTORS))
+    def test_segment_matches_operator_sum(self, kind, K, sign):
+        basis = build_basis(4, K, sector=self.SECTORS[kind])
+        tp = self.tp if kind == "full" else None
+        H = Segment(1.0, self.cp, self.up, tp, sign=sign).static_hamiltonian(basis)
+        ref = sign * build_hopping(basis, self.cp) + build_onsite_anharmonicity(basis, self.up)
+        if tp is not None:
+            ref = ref + sign * build_transverse(basis, tp)
+        assert H.hermitian
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(H.matrix, name), getattr(ref.matrix, name))
+        assert np.all(H.matrix.data != 0)
+
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    @pytest.mark.parametrize("kind", sorted(SECTORS))
+    def test_each_term_matches_loop_oracle(self, kind, K):
+        basis = build_basis(4, K, sector=self.SECTORS[kind])
+        hop, anh, trans = loop_terms(basis, self.cp.values, self.up.values, self.tp.values)
+        pairs = [(build_hopping(basis, self.cp), hop),
+                 (build_onsite_anharmonicity(basis, self.up), anh)]
+        if kind == "full":
+            pairs.append((build_transverse(basis, self.tp), trans))
+        for op, ref in pairs:
+            assert op.hermitian
+            assert np.all(op.matrix.data != 0)
+            np.testing.assert_allclose(op.dense(), ref, rtol=0, atol=1e-14)
+
+    def test_assembly_memory(self):
+        # on the full L=9, K=3 basis (dim 19683) with a transverse field,
+        # building the Hamiltonian may grow peak memory by at most 2.2 times
+        # the CSR arrays it returns. The peak is the process's own VmHWM:
+        # ru_maxrss of a child starts at its parent's resident size, so under
+        # a large test process it would not move.
+        code = textwrap.dedent("""
+            from quenchsim import (AnharmonicityProfile, CouplingProfile, Segment,
+                                   TransverseProfile, build_basis)
+            def peak_kb():
+                with open("/proc/self/status") as status:
+                    return next(int(line.split()[1]) for line in status
+                                if line.startswith("VmHWM:"))
+            def hamiltonian(L):
+                seg = Segment(1.0, CouplingProfile.from_mhz([16.0] * (L - 1)),
+                              AnharmonicityProfile.from_mhz([240.0] * L),
+                              TransverseProfile.from_mhz([16.0] * L))
+                return seg.static_hamiltonian(build_basis(L, 3)).matrix
+            hamiltonian(4)
+            before = peak_kb()
+            m = hamiltonian(9)
+            after = peak_kb()
+            print(m.shape[0], (after - before) * 1024
+                  / (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes))
+        """)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=SRC))
+        dim, growth = out.stdout.split()
+        assert int(dim) == 3**9
+        assert float(growth) <= 2.2

@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from quenchsim import (
     AnharmonicityProfile,
@@ -46,6 +47,10 @@ def random_state(basis, seed):
 
 def dense_propagate(H_dense, psi, t):
     w, P = np.linalg.eigh(H_dense)
+    return dense_propagate_eig(w, P, psi, t)
+
+
+def dense_propagate_eig(w, P, psi, t):
     return (P * np.exp(-1j * t * w)) @ (P.conj().T @ psi)
 
 
@@ -340,6 +345,92 @@ class TestEvolveDriven:
         _, Hs, D, drive, psi = self._setup()
         evolve_driven(Hs, D, drive, psi, 0.0, drive.period_ns, drive.period_ns / 8)
         assert len(built) == 1
+
+
+class TestFloquetEffectiveModel:
+    """Why test_13 of the acceptance suite fails: the effective model's error.
+
+    That test compares the driven ten-site two-level chain (N=5, dim 252,
+    J=10.8, eps=213.6, nu=120 MHz) with the static ``J*J0(eps/nu)`` chain
+    and finds a worst stroboscopic fidelity of 0.679. Built densely from
+    the same CF4 stages, the one-period propagator ``U_F`` gives the exact
+    Floquet Hamiltonian ``H_F = i log(U_F) / T``: it reproduces the driven
+    run, the J0 chain is its first Magnus term, and the second-order term
+    (Eckardt & Anisimovas, NJP 17, 093039, 2015) accounts for most of the
+    gap between them. So the integrator is right and the effective model is
+    what misses the 0.99 budget.
+    """
+
+    L = 10
+
+    @pytest.fixture(scope="class")
+    def floquet(self):
+        L = self.L
+        basis = build_basis(L, 2, sector=5)
+        cp = CouplingProfile.from_mhz([10.8] * (L - 1))
+        drive = DriveSpec.staggered_odd(L, 213.6, 120.0)
+        H0 = build_hopping(basis, cp).dense().real
+        d = build_number_weighted(basis, drive.eps).diagonal().real
+        T, nu = drive.period_ns, drive.nu
+        h = T / 64
+        sq3 = math.sqrt(3.0)
+        x1, x2 = (3 - 2 * sq3) / 12, (3 + 2 * sq3) / 12
+        U = np.eye(basis.dim, dtype=np.complex128)
+        for k in range(64):
+            c1 = math.cos(nu * (k + 0.5 - sq3 / 6) * h)
+            c2 = math.cos(nu * (k + 0.5 + sq3 / 6) * h)
+            for g in (2 * (x2 * c1 + x1 * c2), 2 * (x1 * c1 + x2 * c2)):
+                w, P = np.linalg.eigh(H0 + np.diag(g * d))
+                U = (P * np.exp(-0.5j * h * w)) @ (P.T @ U)
+        # U_F is normal, so its complex Schur form is diagonal
+        S, Z = scipy.linalg.schur(U, output="complex")
+        phases = np.angle(np.diag(S))
+        H_F = (Z * (-phases / T)) @ Z.conj().T
+        jeff = effective_coupling(10.8, 213.6, 120.0)
+        H_J0 = build_hopping(basis, CouplingProfile.from_mhz([jeff] * (L - 1))).dense().real
+        # rotating frame of the drive: entry (a, b) of H0 picks up the phase
+        # sin(nu t) / nu * (d_a - d_b); midpoints of M equal intervals
+        M = 64
+        gap = d[:, None] - d[None, :]
+        H_rot = [H0 * np.exp(1j * math.sin(nu * t) / nu * gap)
+                 for t in (np.arange(M) + 0.5) * T / M]
+        return dict(basis=basis, cp=cp, drive=drive, T=T, phases=phases, H_F=H_F,
+                    H_J0=H_J0, H_rot=H_rot)
+
+    def test_quasienergy_phases_have_no_branch_ambiguity(self, floquet):
+        assert np.abs(floquet["phases"]).max() < 1.16
+
+    def test_floquet_hamiltonian_reproduces_driven_run(self, floquet):
+        L, T = self.L, floquet["T"]
+        basis = floquet["basis"]
+        psi0 = parse_product_state("0101010101", basis)
+        seg = Segment(10 * T, floquet["cp"], AnharmonicityProfile.from_mhz([0.0] * L),
+                      drive=floquet["drive"])
+        traj = list(run_protocol(Protocol((seg,), sample_dt_ns=T), psi0))
+        assert len(traj) == 11
+        w, P = np.linalg.eigh(floquet["H_F"])
+        for t, psi in traj[1:]:
+            ref = dense_propagate_eig(w, P, psi0.amplitudes, t)
+            assert abs(np.vdot(ref, psi.amplitudes)) ** 2 >= 1 - 1e-10
+
+    def test_period_average_is_j0_chain(self, floquet):
+        avg = sum(floquet["H_rot"]) / len(floquet["H_rot"])
+        assert np.linalg.norm(avg - floquet["H_J0"], 2) < 1e-14
+
+    def test_second_order_magnus_term_closes_most_of_the_gap(self, floquet):
+        H_F, H_J0, H_rot, T = floquet["H_F"], floquet["H_J0"], floquet["H_rot"], floquet["T"]
+        gap = np.linalg.norm(H_F - H_J0, 2)
+        assert 0.035 < gap < 0.045  # rad/ns, against ||H_J0|| = 0.144
+        assert np.linalg.norm(H_J0, 2) == pytest.approx(0.1438, abs=1e-4)
+        # -(i / 2T) int_0^T dt1 int_0^t1 dt2 [H(t1), H(t2)], as a sum over
+        # the pairs of midpoints with t2 < t1
+        acc = np.zeros_like(H_rot[0])
+        earlier = np.zeros_like(acc)
+        for Hq in H_rot:
+            acc += Hq @ earlier - earlier @ Hq
+            earlier += Hq
+        H2 = -0.5j / T * (T / len(H_rot)) ** 2 * acc
+        assert np.linalg.norm(H_F - H_J0 - H2, 2) < 0.012
 
 
 def make_segment(duration, J_mhz, U_mhz, L, Omega_mhz=None, drive=None, **kw):
