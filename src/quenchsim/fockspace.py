@@ -267,16 +267,25 @@ class StateVector:
     __slots__ = ("basis", "amplitudes")
 
     def __init__(self, basis: FockBasis, amplitudes, *, normalize: bool = True):
-        amps = np.array(amplitudes, dtype=np.complex128, copy=True).ravel()
+        self._bind(basis, np.array(amplitudes, dtype=np.complex128, copy=True).ravel())
+        if normalize:
+            nrm = float(np.linalg.norm(self.amplitudes))
+            if nrm < 1e-12:
+                raise ValueError("cannot normalize a (near-)zero state vector")
+            self.amplitudes /= nrm
+
+    @classmethod
+    def _adopt(cls, basis: FockBasis, amps: np.ndarray) -> "StateVector":
+        """The state of amps, a fresh complex128 vector, which it keeps uncopied."""
+        psi = cls.__new__(cls)
+        psi._bind(basis, amps)
+        return psi
+
+    def _bind(self, basis: FockBasis, amps: np.ndarray) -> None:
         if amps.size != basis.dim:
             raise ValueError(
                 f"amplitude vector has length {amps.size}, basis dimension is {basis.dim}"
             )
-        if normalize:
-            nrm = float(np.linalg.norm(amps))
-            if nrm < 1e-12:
-                raise ValueError("cannot normalize a (near-)zero state vector")
-            amps /= nrm
         self.basis = basis
         self.amplitudes = amps
 
@@ -389,4 +398,4 @@ def embed_state(state: StateVector, target: FockBasis) -> StateVector:
     amps = np.zeros(target.dim, dtype=np.complex128)
     keep = idx >= 0
     amps[idx[keep]] = state.amplitudes[keep]
-    return StateVector(target, amps, normalize=False)
+    return StateVector._adopt(target, amps)

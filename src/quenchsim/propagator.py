@@ -241,7 +241,7 @@ def _finish(basis: FockBasis, raw: np.ndarray) -> StateVector:
     nrm = float(np.linalg.norm(raw))
     if abs(nrm - 1.0) > 1e-8:
         raise NumericsError(f"propagated state norm drifted to {nrm:.3e}")
-    return StateVector(basis, np.divide(raw, nrm, out=raw), normalize=False)
+    return StateVector._adopt(basis, np.divide(raw, nrm, out=raw))
 
 
 def evolve_static(H: SparseOperator, psi: StateVector, dt_ns: float, _krylov=None) -> StateVector:

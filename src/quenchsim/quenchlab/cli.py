@@ -1,7 +1,7 @@
 """Command line interface.
 
-Subcommands: ``run`` a config file, ``preset`` to print or run a named
-figure preset, and ``spectrum`` for number-sector eigenvalues. A config
+Subcommands: ``run`` a config file or a named figure preset, ``preset`` to
+print a preset, and ``spectrum`` for number-sector eigenvalues. A config
 with sweep axes runs every point of its sweep. Exit codes: 0 success, 2
 validation error, 3 numerics or resource error.
 """
@@ -9,6 +9,7 @@ validation error, 3 numerics or resource error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from ..analysis import ResourceLimitError
@@ -26,8 +27,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a config file, every point of its sweep")
-    p_run.add_argument("-c", "--config", required=True, help="config file path")
+    p_run = sub.add_parser("run", help="run a config file or preset, every point of its sweep")
+    source = p_run.add_mutually_exclusive_group(required=True)
+    source.add_argument("-c", "--config", help="config file path")
+    source.add_argument("--preset", metavar="NAME",
+                        help="figure preset: " + ", ".join(preset_names()))
     p_run.add_argument("-o", "--output", help="output file, the config key path")
     p_run.add_argument("--format", choices=("csv", "json"), help="output format override")
     p_run.add_argument("--axis", action="append", default=[], metavar="key=v1,v2",
@@ -35,13 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("-j", "--jobs", type=int, default=None,
                        help="parallel workers, the config key parallelism")
 
-    p_pre = sub.add_parser("preset", help="print or run a figure preset")
+    p_pre = sub.add_parser("preset", help="print a figure preset")
     p_pre.add_argument("name", help="preset name: " + ", ".join(preset_names()))
-    p_pre.add_argument("--run", action="store_true", dest="do_run",
-                       help="run the preset instead of printing it")
-    p_pre.add_argument("-o", "--output", help="output file when running")
-    p_pre.add_argument("--format", choices=("csv", "json"))
-    p_pre.set_defaults(axis=[], jobs=None)
 
     p_spec = sub.add_parser("spectrum", help="number-sector spectrum of the chain")
     p_spec.add_argument("-L", "--sites", type=int, required=True)
@@ -58,12 +57,16 @@ def _run(config, args, stem: str) -> int:
     """Apply the flags as config overrides and run the config as it reads.
 
     ``-o`` is the key path, ``--format`` format, ``--axis k=v1,v2`` axis_k
-    and ``-j N`` parallelism. The path defaults to ``<stem>.<format>``. A
-    config with sweep axes writes each point beside that path and exits 3
-    if any point failed; one without writes the path.
+    and ``-j N`` parallelism. Without ``-o`` the path is the config's, or
+    ``<stem>.<format>``, and ``--format`` sets its extension. A config with
+    sweep axes writes each point beside that path and exits 3 if any point
+    failed; one without writes the path.
     """
     fmt = args.format or config.format
-    overrides = {"format": fmt, "path": args.output or config.path or f"{stem}.{fmt}"}
+    path = config.path
+    if path is None or args.format:
+        path = f"{os.path.splitext(path or stem)[0]}.{fmt}"
+    overrides = {"format": fmt, "path": args.output or path}
     for pair in args.axis:
         key, _, values = pair.partition("=")
         overrides[f"axis_{key.strip()}"] = values
@@ -77,17 +80,6 @@ def _run(config, args, stem: str) -> int:
     for r in results:
         print(f"{r.params} -> {r.path if r.path else f'FAILED: {r.error}'}")
     return 3 if any(r.error for r in results) else 0
-
-
-def _cmd_run(args) -> int:
-    return _run(load_config(args.config), args, "run")
-
-
-def _cmd_preset(args) -> int:
-    if args.do_run:
-        return _run(preset(args.name), args, args.name)
-    sys.stdout.write(preset_text(args.name))
-    return 0
 
 
 def _cmd_spectrum(args) -> int:
@@ -113,9 +105,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            return _cmd_run(args)
+            name = args.preset
+            config = load_config(args.config) if name is None else preset(name)
+            return _run(config, args, name or "run")
         if args.command == "preset":
-            return _cmd_preset(args)
+            sys.stdout.write(preset_text(args.name))
+            return 0
         return _cmd_spectrum(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

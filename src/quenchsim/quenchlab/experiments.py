@@ -183,20 +183,21 @@ def run_sweep(config: ExperimentConfig) -> list:
     """Run every point of the config's sweep, one output file per point.
 
     The points are the cartesian product of ``config.sweep_axes`` (a config
-    without axes is one point) and run on a bounded pool of
-    ``config.parallelism`` worker processes. Each point is written beside
-    the config's path (default ``sweep.<format>``), with the axis values in
-    its name, so identical sweeps land on identical names. Returns a
-    SweepResult per point in deterministic grid order; a failing point is
-    reported in its SweepResult rather than aborting the sweep.
+    without axes is one point) and run on ``min(parallelism, points)``
+    worker processes, in this process when that is one. Each point is
+    written beside the config's path (default ``sweep.<format>``), with the
+    axis values in its name, so identical sweeps land on identical names.
+    Returns a SweepResult per point in deterministic grid order; a failing
+    point is reported in its SweepResult rather than aborting the sweep.
     """
     stem = os.path.splitext(config.path or "sweep")[0]
     axes = config.sweep_axes
     grid = [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
     jobs = [(params, _point_name(stem, params, config.format)) for params in grid]
-    if config.parallelism == 1 or len(jobs) <= 1:
+    workers = min(config.parallelism, len(jobs))
+    if workers == 1:
         return [_result(params, lambda: _run_point(config, params, path))
                 for params, path in jobs]
-    with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_run_point, config, params, path) for params, path in jobs]
         return [_result(params, fut.result) for params, fut in zip(grid, futures)]

@@ -226,6 +226,20 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector(basis, np.ones(3))
 
+    def test_constructor_and_copy_own_their_amplitudes(self):
+        basis = build_basis(2, 2)
+        amps = np.array([1.0, 0, 0, 0], dtype=np.complex128)
+        psi = StateVector(basis, amps, normalize=False)
+        assert psi.amplitudes is not amps
+        assert psi.copy().amplitudes is not psi.amplitudes
+
+    def test_adopt_keeps_the_array_and_checks_its_length(self):
+        basis = build_basis(2, 2)
+        amps = np.array([1.0, 0, 0, 0], dtype=np.complex128)
+        assert StateVector._adopt(basis, amps).amplitudes is amps
+        with pytest.raises(ValueError, match="length 3"):
+            StateVector._adopt(basis, np.ones(3, dtype=np.complex128))
+
     def test_overlap_requires_same_basis(self):
         a = parse_product_state("01", build_basis(2, 2))
         b = parse_product_state("01", build_basis(2, 3))

@@ -633,6 +633,13 @@ def dense_samples(proto, psi0):
 class TestSampledSegment:
     """Undriven segments: one growing basis serves every sample."""
 
+    def test_finish_keeps_the_fresh_array(self):
+        from quenchsim.propagator import _finish
+
+        basis = build_basis(2, 2)
+        raw = np.array([1.0, 0, 0, 0], dtype=np.complex128)
+        assert _finish(basis, raw).amplitudes is raw
+
     @staticmethod
     def _run(monkeypatch, proto, psi0):
         """Check every sample against dense propagation.

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import json
 import math
@@ -784,6 +785,34 @@ path = point.csv
         write_output(cfg, run_experiment(cfg), b)
         assert a.read_text() == b.read_text()
 
+    def test_pool_bounded_by_points(self, tmp_path, monkeypatch):
+        # the pool forks all its workers at the first submit, so a worker
+        # count above the number of points would only fork idle processes
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = concurrent.futures.Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        cfg = load_config(self.BASE).with_overrides(
+            {"axis_coupling_mhz": "4, 16", "parallelism": "64",
+             "path": str(tmp_path / "point.csv")})
+        results = run_sweep(cfg)
+        assert sizes == [2]
+        assert all(r.error is None for r in results) and len(results) == 2
+
     def test_parallel_pool(self, tmp_path):
         cfg = load_config(self.BASE).with_overrides(
             {"axis_coupling_mhz": "4, 8, 16", "parallelism": "2",
@@ -852,7 +881,7 @@ class TestCli:
         assert load_config(text) == preset("fig8c")
 
     def test_preset_default_is_print(self, tmp_path, monkeypatch, capsys):
-        # without --run the preset is printed, not run: no output is written
+        # preset NAME only prints the preset: no output is written
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("QUENCHSIM_OUTDIR", raising=False)
         assert main(["preset", "fig8c"]) == 0
@@ -907,10 +936,71 @@ class TestCli:
         monkeypatch.setattr("quenchsim.quenchlab.cli.preset", lambda name: load_config(
             TestSweep.BASE + "[sweep]\naxis_coupling_mhz = 4, 16\n"))
         out = tmp_path / "dir" / "out.csv"
-        assert main(["preset", "small", "--run", "-o", str(out)]) == 0
+        assert main(["run", "--preset", "small", "-o", str(out)]) == 0
         assert sorted(os.listdir(tmp_path / "dir")) == [
             "out__coupling_mhz=16.csv", "out__coupling_mhz=4.csv"]
         assert sorted(os.listdir(tmp_path)) == ["dir"]
+
+    @staticmethod
+    def _small_preset(monkeypatch, text):
+        monkeypatch.setattr("quenchsim.quenchlab.cli.preset", lambda name: load_config(text))
+
+    def test_run_preset_writes_its_path(self, tmp_path, monkeypatch, capsys):
+        # the file preset NAME --run used to write: the preset's path, as given
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("QUENCHSIM_OUTDIR", raising=False)
+        self._small_preset(monkeypatch, TestSweep.BASE)
+        assert main(["run", "--preset", "small"]) == 0
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(TestSweep.BASE)
+        assert main(["run", "-c", str(cfg_path), "-o", str(tmp_path / "ref.csv")]) == 0
+        assert (tmp_path / "point.csv").read_text() == (tmp_path / "ref.csv").read_text()
+
+    def test_run_preset_without_path_is_named_after_it(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("QUENCHSIM_OUTDIR", raising=False)
+        self._small_preset(monkeypatch, TestSweep.BASE.replace("path = point.csv", ""))
+        assert main(["run", "--preset", "small"]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["small.csv"]
+
+    def test_format_flag_sets_the_extension(self, tmp_path, monkeypatch, capsys):
+        # --format json used to write JSON into the preset's point.csv
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("QUENCHSIM_OUTDIR", raising=False)
+        self._small_preset(monkeypatch, TestSweep.BASE)
+        assert main(["run", "--preset", "small", "--format", "json"]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["point.json"]
+        assert json.loads((tmp_path / "point.json").read_text())[0]["time_ns"] == 0
+        # an explicit -o is written as given
+        assert main(["run", "--preset", "small", "--format", "json", "-o", "o.csv"]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["o.csv", "point.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ["run"],
+        ["run", "-c", "c.cfg", "--preset", "fig8c"],
+        ["preset", "fig8c", "--run"],
+        ["preset", "fig8c", "-o", "out.csv"],
+    ], ids=["neither", "both", "preset_run", "preset_output"])
+    def test_run_source_exit_2(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("QUENCHSIM_OUTDIR", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_unknown_preset_exit_2(self, capsys):
+        assert main(["run", "--preset", "nope"]) == 2
+        assert "choices" in capsys.readouterr().err
+
+    def test_run_preset_takes_axis_and_jobs(self, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr("quenchsim.quenchlab.cli.run_sweep",
+                            lambda config: seen.append(config) or [])
+        self._small_preset(monkeypatch, TestSweep.BASE)
+        assert main(["run", "--preset", "small", "--axis", "coupling_mhz=4,16", "-j", "2"]) == 0
+        assert seen[0].parallelism == 2
+        assert seen[0].sweep_axes == {"coupling_mhz": ["4", "16"]}
 
     def test_spectrum_cli(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
