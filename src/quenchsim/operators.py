@@ -200,11 +200,6 @@ class SparseOperator:
     def diagonal(self) -> np.ndarray:
         return self.matrix.diagonal()
 
-    def is_diagonal(self) -> bool:
-        off = self.matrix - sp.diags(self.matrix.diagonal())
-        off.eliminate_zeros()
-        return off.nnz == 0
-
     def expectation(self, state) -> complex:
         v = state.amplitudes if hasattr(state, "amplitudes") else np.asarray(state)
         val = complex(np.vdot(v, self.matrix @ v))

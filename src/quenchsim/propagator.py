@@ -6,7 +6,8 @@ Expokit-style step control, at ``DEFAULT_TOL``, ``DEFAULT_KRYLOV_DIM`` and
 ``MAX_HALVINGS``. Sinusoidally driven Hamiltonians are integrated with
 fourth-order commutator-free substeps (two Gauss nodes per substep) of
 ``default_substep_ns`` (T/64); one basis object serves every exponential of
-an ``evolve_driven`` call. Multi-segment protocols (forward plus
+an ``evolve_driven`` call, which weighs each basis state by the
+``DriveSpec`` amplitudes itself. Multi-segment protocols (forward plus
 sign-flipped backward evolution, with or without drive) are executed by
 ``run_protocol``, a generator of ``(t, state)`` pairs, one per sample time.
 The samples of an undriven segment share one growing basis, and every
@@ -239,7 +240,7 @@ class _Krylov:
 def _finish(basis: FockBasis, raw: np.ndarray) -> StateVector:
     """The normalized state of raw, a fresh result of ``_Krylov.advance``."""
     nrm = float(np.linalg.norm(raw))
-    if abs(nrm - 1.0) > 1e-8:
+    if not abs(nrm - 1.0) <= 1e-8:  # a NaN norm fails too
         raise NumericsError(f"propagated state norm drifted to {nrm:.3e}")
     return StateVector._adopt(basis, np.divide(raw, nrm, out=raw))
 
@@ -251,10 +252,12 @@ def evolve_static(H: SparseOperator, psi: StateVector, dt_ns: float, _krylov=Non
     at most ``DEFAULT_KRYLOV_DIM`` vectors. The returned state has unit norm;
     a pre-normalization drift above 1e-8 raises NumericsError rather than
     being silently absorbed, and so does a step that would need sub-steps
-    shorter than dt / 2**MAX_HALVINGS. ``_krylov`` is ``run_protocol``'s basis of H
-    for the current segment: given the state it returned last, the call
-    resumes that basis instead of building one.
+    shorter than dt / 2**MAX_HALVINGS; a non-finite dt raises ValueError.
+    ``_krylov`` is ``run_protocol``'s basis of H for the current segment:
+    given the state it returned last, the call resumes that basis.
     """
+    if not math.isfinite(dt_ns):
+        raise ValueError(f"time step must be finite, got {dt_ns}")
     if not H.hermitian:
         raise ValueError("evolve_static requires a Hermitian operator")
     if H.basis != psi.basis:
@@ -275,41 +278,46 @@ _CF4_HI = (3.0 + 2.0 * _SQRT3) / 12.0
 
 def evolve_driven(
     H_static: SparseOperator,
-    D: SparseOperator,
     drive: DriveSpec,
     psi: StateVector,
     t0_ns: float,
     t1_ns: float,
     dt_sub_ns: float,
 ) -> StateVector:
-    """Evolve under ``H_static + cos(nu t) D`` from t0 to t1.
+    """Evolve under ``H_static + cos(nu t) sum_j eps_j n_j`` from t0 to t1.
 
     t is the caller's time axis: the drive phase vanishes at t = 0, so a
     caller that wants the phase to restart passes times relative to that
     restart. The interval is split into substeps no longer than dt_sub_ns.
     The integrator is fourth-order commutator-free: each substep applies two
-    exponentials of ``H_static + gamma D`` for time h/2, with gamma mixing
-    the cosine sampled at the two Gauss nodes of the substep. D must be
-    diagonal; use build_number_weighted for the modulation term. One basis
-    object serves every exponential of the call: its matvec reads the
-    current ``gamma D``.
+    exponentials of ``H_static + gamma d`` for time h/2, with gamma mixing
+    the cosine sampled at the two Gauss nodes of the substep and d the
+    drive's weight ``sum_j eps_j n_j`` of each basis state. One basis object
+    serves every exponential of the call: its matvec reads the current
+    ``gamma d``. Non-finite times raise ValueError, and more than
+    ``MAX_SUBSTEPS`` substeps raise ResourceLimitError, before any step.
     """
     if not H_static.hermitian:
         raise ValueError("static part must be Hermitian")
-    if H_static.basis != psi.basis or D.basis != psi.basis:
-        raise ValueError("operators and state live on different bases")
-    if not D.is_diagonal():
-        raise ValueError("drive weight operator must be diagonal")
+    if H_static.basis != psi.basis:
+        raise ValueError("operator and state live on different bases")
+    if len(drive) != psi.basis.L:
+        raise ValueError(f"drive needs {psi.basis.L} sites, got {len(drive)}")
+    if not (math.isfinite(t0_ns) and math.isfinite(t1_ns)):
+        raise ValueError(f"drive interval must be finite, got [{t0_ns}, {t1_ns}]")
     if t1_ns < t0_ns:
         raise ValueError("t1 must not precede t0")
-    if not dt_sub_ns > 0:
-        raise ValueError("substep size must be positive")
+    if not 0 < dt_sub_ns < math.inf:
+        raise ValueError(f"substep size must be positive and finite, got {dt_sub_ns}")
     span = float(t1_ns - t0_ns)
     if span == 0.0:
         return psi.copy()
-    d = np.real(D.diagonal())
-    nu = drive.nu
     nsub = max(1, math.ceil(span / dt_sub_ns - 1e-12))
+    if nsub > MAX_SUBSTEPS:
+        raise ResourceLimitError(f"{span:g} ns takes {nsub} substeps of {dt_sub_ns:g} ns, "
+                                 f"above the cap of {MAX_SUBSTEPS}")
+    d = psi.basis.states @ np.asarray(drive.eps)
+    nu = drive.nu
     h = span / nsub
     gd = np.empty_like(d)
     krylov = _Krylov(lambda v: H_static.matvec(v) + gd * v)
@@ -333,7 +341,8 @@ class Segment:
     together; the anharmonicity never flips sign. On a two-level basis the
     on-site term U/2 n(n-1) vanishes, so the same segment gives the hopping
     model there. A drive, if any, adds ``cos(nu t) sum_j eps_j n_j`` with t
-    measured from the segment's start.
+    measured from the segment's start. A zero drive or field is stored as
+    None, so ``drive is not None`` tells whether the segment is driven.
     """
 
     duration_ns: float
@@ -344,23 +353,28 @@ class Segment:
     drive: DriveSpec | None = None
 
     def __post_init__(self):
-        if self.duration_ns < 0:
-            raise ValueError("segment duration must be non-negative")
+        if not 0 <= self.duration_ns < math.inf:  # NaN fails too
+            raise ValueError(f"segment duration must be finite and non-negative: {self.duration_ns}")
         if self.sign not in (-1, 1):
             raise ValueError("sign must be +1 or -1")
+        if self.drive is not None and not self.drive.is_active():
+            object.__setattr__(self, "drive", None)
+        if self.transverse is not None and self.transverse.is_zero():
+            object.__setattr__(self, "transverse", None)
 
     def static_hamiltonian(self, basis: FockBasis) -> SparseOperator:
         """Hopping, anharmonicity and transverse terms assembled in one pass."""
         diag = _anharmonicity_diagonal(basis, self.anharmonicity)
         pairs = _hopping_pairs(basis, self.coupling)
-        if self.transverse is not None and not self.transverse.is_zero():
+        if self.transverse is not None:
             pairs += _transverse_pairs(basis, self.transverse)
         for _, _, amp in pairs:
             amp *= self.sign
         return _assemble(basis, diag, pairs)
 
     def drive_operator(self, basis: FockBasis) -> SparseOperator | None:
-        if self.drive is None or not self.drive.is_active():
+        """``sum_j eps_j n_j`` or None; kept only as a span target of bench/tracer.py."""
+        if self.drive is None:
             return None
         return build_number_weighted(basis, self.drive.eps)
 
@@ -453,8 +467,7 @@ def run_protocol(protocol: Protocol, psi0: StateVector) -> Iterator[tuple[float,
     basis = psi0.basis
     times = protocol.sample_times()
     substeps = sum(math.ceil(seg.duration_ns / default_substep_ns(seg.drive))
-                   for seg in protocol.segments
-                   if seg.drive is not None and seg.drive.is_active())
+                   for seg in protocol.segments if seg.drive is not None)
     if substeps > MAX_SUBSTEPS:
         raise ResourceLimitError(
             f"the driven segments take {substeps} substeps of T/{SUBSTEPS_PER_PERIOD}, "
@@ -471,21 +484,20 @@ def run_protocol(protocol: Protocol, psi0: StateVector) -> Iterator[tuple[float,
         if seg.duration_ns == 0:
             continue  # its boundary coincides with a sample already taken
         H = seg.static_hamiltonian(basis)
-        D = seg.drive_operator(basis)
         # an undriven segment's samples share one growing basis
-        krylov = _Krylov(H.matvec) if D is None else None
+        krylov = _Krylov(H.matvec) if seg.drive is None else None
         t_prev = seg_start
         while next_sample < times.size and times[next_sample] <= seg_end + 1e-9:
             t_next = min(float(times[next_sample]), seg_end)
-            if D is None:
+            if seg.drive is None:
                 psi = evolve_static(H, psi, t_next - t_prev, _krylov=krylov)
             else:
                 # segment-relative times: each segment restarts its drive phase
-                psi = evolve_driven(H, D, seg.drive, psi, t_prev - seg_start,
+                psi = evolve_driven(H, seg.drive, psi, t_prev - seg_start,
                                     t_next - seg_start, default_substep_ns(seg.drive))
             yield t_next, psi
             t_prev = t_next
             next_sample += 1
-        # free the basis and operators before the next segment is assembled,
-        # so a reversal never holds both directions' Hamiltonians
-        krylov = H = D = None
+        # free the basis and H before the next segment is assembled, so a
+        # reversal never holds both directions' Hamiltonians
+        krylov = H = None

@@ -77,16 +77,6 @@ def _observer(config: ExperimentConfig, psi0=None):
     return observe
 
 
-def _segment(duration, coupling, anh, trans, drive):
-    return Segment(
-        duration_ns=duration,
-        coupling=coupling,
-        anharmonicity=anh,
-        transverse=None if trans.is_zero() else trans,
-        drive=drive,
-    )
-
-
 def run_experiment(config: ExperimentConfig):
     """Execute one config and return its records.
 
@@ -105,10 +95,10 @@ def run_experiment(config: ExperimentConfig):
     drive_f, drive_b = _drive_specs(config)
 
     if config.mode == "time-reversal":
-        seg_f = _segment(config.forward_ns, coupling, anh, trans, drive_f)
+        seg_f = Segment(config.forward_ns, coupling, anh, trans, drive=drive_f)
         segments = (seg_f, reverse_of(seg_f, drive_override=drive_b))
     else:
-        segments = (_segment(config.duration_ns, coupling, anh, trans, drive_f),)
+        segments = (Segment(config.duration_ns, coupling, anh, trans, drive=drive_f),)
     # load_config gives every stroboscopic run a drive with nu > 0
     protocol = Protocol(
         segments, sample_dt_ns=drive_f.period_ns if config.stroboscopic else config.dt_ns
@@ -183,18 +173,21 @@ def run_sweep(config: ExperimentConfig) -> list:
     """Run every point of the config's sweep, one output file per point.
 
     The points are the cartesian product of ``config.sweep_axes`` (a config
-    without axes is one point) and run on ``min(parallelism, points)``
-    worker processes, in this process when that is one. Each point is
-    written beside the config's path (default ``sweep.<format>``), with the
-    axis values in its name, so identical sweeps land on identical names.
-    Returns a SweepResult per point in deterministic grid order; a failing
-    point is reported in its SweepResult rather than aborting the sweep.
+    without axes is one point) and run on ``min(parallelism, points, CPUs
+    this process may use)`` worker processes, in this process when that is
+    one. Each point is written beside the config's path (default
+    ``sweep.<format>``), with the axis values in its name, so identical
+    sweeps land on identical names. Returns a SweepResult per point in
+    deterministic grid order; a failing point is reported in its
+    SweepResult rather than aborting the sweep.
     """
     stem = os.path.splitext(config.path or "sweep")[0]
     axes = config.sweep_axes
     grid = [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
     jobs = [(params, _point_name(stem, params, config.format)) for params in grid]
-    workers = min(config.parallelism, len(jobs))
+    # each worker holds its own basis, so more workers than CPUs only add memory
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(config.parallelism, len(jobs), cpus or 1)
     if workers == 1:
         return [_result(params, lambda: _run_point(config, params, path))
                 for params, path in jobs]

@@ -12,14 +12,6 @@ from .config import ExperimentConfig, load_config
 
 __all__ = ["preset", "preset_names", "preset_text"]
 
-_PSI = {
-    "psi1": "0001001000",
-    "psi2": "0000110000",
-    "psi3": "0001111000",
-    "psi4": "++++++++++",
-    "psi5": "0101010101",
-}
-
 _PRESETS: dict[str, str] = {}
 
 

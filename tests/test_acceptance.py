@@ -264,7 +264,7 @@ def test_11_oracle_equivalence():
     psi3 = parse_product_state("110", basis3)
     T = drive.period_ns
     h = T / 64
-    mine = evolve_driven(Hs, D, drive, psi3, 0.0, 3 * T, h)
+    mine = evolve_driven(Hs, drive, psi3, 0.0, 3 * T, h)
     sq3 = math.sqrt(3.0)
     x1, x2 = (3 - 2 * sq3) / 12, (3 + 2 * sq3) / 12
     Hd = Hs.dense()

@@ -11,6 +11,7 @@ from quenchsim import (
     DriveSpec,
     NumericsError,
     Protocol,
+    ResourceLimitError,
     Segment,
     SparseOperator,
     StateVector,
@@ -61,6 +62,19 @@ class TestEvolveStatic:
         psi = parse_product_state("01", basis)
         out = evolve_static(H, psi, 0.0)
         np.testing.assert_array_equal(out.amplitudes, psi.amplitudes)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_non_finite_step_raises(self, dt):
+        basis = build_basis(2, 2)
+        H = build_hopping(basis, CouplingProfile.from_mhz([10.0]))
+        with pytest.raises(ValueError, match="finite"):
+            evolve_static(H, parse_product_state("01", basis), dt)
+
+    def test_nan_norm_is_drift(self):
+        from quenchsim.propagator import _finish
+
+        with pytest.raises(NumericsError, match="drifted"):
+            _finish(build_basis(2, 2), np.full(4, np.nan, dtype=np.complex128))
 
     def test_two_site_rabi_oscillation(self):
         basis = build_basis(2, 2, sector=1)
@@ -250,28 +264,26 @@ class TestEvolveDriven:
             build_onsite_anharmonicity(
                 basis, AnharmonicityProfile.from_mhz([212.0, 264.0, 210.0][:L]))
         drive = DriveSpec.staggered_odd(L, 213.6, 120.0)
-        D = build_number_weighted(basis, drive.eps)
         psi = parse_product_state("110"[:L], basis)
-        return basis, Hs, D, drive, psi
+        return basis, Hs, drive, psi
 
     def test_zero_amplitude_matches_static(self):
-        basis, Hs, _, _, psi = self._setup()
+        basis, Hs, _, psi = self._setup()
         drive = DriveSpec.from_mhz([0.0, 0.0, 0.0], 120.0)
-        D = build_number_weighted(basis, drive.eps)
-        out = evolve_driven(Hs, D, drive, psi, 0.0, 40.0, 0.2)
+        out = evolve_driven(Hs, drive, psi, 0.0, 40.0, 0.2)
         ref = evolve_static(Hs, psi, 40.0)
         assert np.linalg.norm(out.amplitudes - ref.amplitudes) < 1e-9
 
     def test_matches_dense_scheme_oracle(self):
         # same substep grid, every exponential via dense eigendecomposition
-        basis, Hs, D, drive, psi = self._setup()
+        basis, Hs, drive, psi = self._setup()
         T = drive.period_ns
         h = T / 64
-        out = evolve_driven(Hs, D, drive, psi, 0.0, 5 * T, h)
+        out = evolve_driven(Hs, drive, psi, 0.0, 5 * T, h)
         sq3 = math.sqrt(3.0)
         x1, x2 = (3 - 2 * sq3) / 12, (3 + 2 * sq3) / 12
         Hd = Hs.dense()
-        d = np.real(D.dense().diagonal())
+        d = np.real(build_number_weighted(basis, drive.eps).dense().diagonal())
         v = psi.amplitudes.copy()
         nsub = 5 * 64
         for k in range(nsub):
@@ -283,12 +295,12 @@ class TestEvolveDriven:
         assert np.linalg.norm(out.amplitudes - v) < 1e-8
 
     def test_self_convergence_at_default_substep(self):
-        basis, Hs, D, drive, psi = self._setup()
+        _, Hs, drive, psi = self._setup()
         T = drive.period_ns
         h = default_substep_ns(drive)
         assert h == pytest.approx(T / 64)
-        a = evolve_driven(Hs, D, drive, psi, 0.0, 10 * T, h)
-        b = evolve_driven(Hs, D, drive, psi, 0.0, 10 * T, h / 2)
+        a = evolve_driven(Hs, drive, psi, 0.0, 10 * T, h)
+        b = evolve_driven(Hs, drive, psi, 0.0, 10 * T, h / 2)
         assert np.linalg.norm(a.amplitudes - b.amplitudes) <= 1e-6
 
     def test_effective_coupling_high_frequency_limit(self):
@@ -298,35 +310,55 @@ class TestEvolveDriven:
         cp = CouplingProfile.from_mhz([10.8] * (L - 1))
         drive = DriveSpec.staggered_odd(L, 1.78 * 480.0, 480.0)
         Hs = build_hopping(basis, cp)
-        D = build_number_weighted(basis, drive.eps)
         psi0 = parse_product_state("0101", basis)
         T = drive.period_ns
         jeff = effective_coupling(10.8, 1.78 * 480.0, 480.0)
         Heff = build_hopping(basis, CouplingProfile.from_mhz([jeff] * (L - 1)))
         psi = psi0
         for m in range(1, 11):
-            psi = evolve_driven(Hs, D, drive, psi, (m - 1) * T, m * T, T / 64)
+            psi = evolve_driven(Hs, drive, psi, (m - 1) * T, m * T, T / 64)
             ref = evolve_static(Heff, psi0, m * T)
             assert fidelity(ref, psi) >= 0.99
 
     def test_argument_errors(self):
-        basis, Hs, D, drive, psi = self._setup()
+        basis, Hs, drive, psi = self._setup()
         with pytest.raises(ValueError):
-            evolve_driven(Hs, D, drive, psi, 0.0, 10.0, -1.0)
+            evolve_driven(Hs, drive, psi, 0.0, 10.0, -1.0)
+        with pytest.raises(ValueError, match="finite"):
+            evolve_driven(Hs, drive, psi, 0.0, 10.0, math.inf)  # one substep for any span
         with pytest.raises(ValueError):
-            evolve_driven(Hs, D, drive, psi, 10.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            evolve_driven(Hs, Hs, drive, psi, 0.0, 10.0, 1.0)  # D not diagonal
+            evolve_driven(Hs, drive, psi, 10.0, 0.0, 1.0)
         skew = SparseOperator(basis, np.triu(np.ones((basis.dim, basis.dim))), hermitian=False)
         with pytest.raises(ValueError, match="Hermitian"):
-            evolve_driven(skew, D, drive, psi, 0.0, 10.0, 1.0)
+            evolve_driven(skew, drive, psi, 0.0, 10.0, 1.0)
         other = parse_product_state("110", build_basis(3, 2))
         with pytest.raises(ValueError, match="different bases"):
-            evolve_driven(Hs, D, drive, other, 0.0, 10.0, 1.0)
+            evolve_driven(Hs, drive, other, 0.0, 10.0, 1.0)
+
+    def test_drive_site_count_must_match_basis(self):
+        _, Hs, _, psi = self._setup()
+        with pytest.raises(ValueError, match="needs 3 sites, got 4"):
+            evolve_driven(Hs, DriveSpec.staggered_odd(4, 213.6, 120.0), psi, 0.0, 10.0, 1.0)
+
+    @pytest.mark.parametrize("t0, t1", [(0.0, math.inf), (0.0, math.nan), (math.nan, 1.0)])
+    def test_non_finite_times_raise(self, t0, t1):
+        _, Hs, drive, psi = self._setup()
+        with pytest.raises(ValueError, match="finite"):
+            evolve_driven(Hs, drive, psi, t0, t1, 1.0)
+
+    def test_substep_cap_raises_before_any_step(self, monkeypatch):
+        # 1e9 ns at 1e-3 ns is 1e12 substeps: refused before the first matvec
+        def no_matvec(self, v):
+            raise AssertionError("propagation started")
+
+        monkeypatch.setattr(SparseOperator, "matvec", no_matvec)
+        _, Hs, drive, psi = self._setup()
+        with pytest.raises(ResourceLimitError, match="substeps"):
+            evolve_driven(Hs, drive, psi, 0.0, 1e9, 1e-3)
 
     def test_empty_interval_returns_copy(self):
-        _, Hs, D, drive, psi = self._setup()
-        out = evolve_driven(Hs, D, drive, psi, 3.0, 3.0, 1.0)
+        _, Hs, drive, psi = self._setup()
+        out = evolve_driven(Hs, drive, psi, 3.0, 3.0, 1.0)
         assert out is not psi
         np.testing.assert_array_equal(out.amplitudes, psi.amplitudes)
 
@@ -342,8 +374,8 @@ class TestEvolveDriven:
             init(self, *args)
 
         monkeypatch.setattr(propagator._Krylov, "__init__", counted_init)
-        _, Hs, D, drive, psi = self._setup()
-        evolve_driven(Hs, D, drive, psi, 0.0, drive.period_ns, drive.period_ns / 8)
+        _, Hs, drive, psi = self._setup()
+        evolve_driven(Hs, drive, psi, 0.0, drive.period_ns, drive.period_ns / 8)
         assert len(built) == 1
 
 
@@ -463,7 +495,55 @@ class TestReverseOf:
         assert rev.sign == 1 and rev.drive == bwd
 
 
+class TestSegment:
+    def test_zero_drive_and_field_stored_as_none(self):
+        L = 4
+        zero = DriveSpec.from_mhz([0.0] * L, 120.0)
+        seg = make_segment(10.0, 16.0, 240.0, L, Omega_mhz=0.0, drive=zero)
+        assert seg.drive is None and seg.transverse is None
+        assert seg == make_segment(10.0, 16.0, 240.0, L)
+        fwd = make_segment(10.0, 16.0, 240.0, L, drive=DriveSpec.staggered_odd(L, 213.6, 120.0))
+        assert reverse_of(fwd, drive_override=zero).drive is None
+
+    def test_zero_field_assembles_on_sector_basis(self):
+        L = 4
+        basis = build_basis(L, 3, sector=2)
+        seg = make_segment(10.0, 16.0, 240.0, L, Omega_mhz=0.0)
+        assert seg.transverse is None
+        ref = make_segment(10.0, 16.0, 240.0, L).static_hamiltonian(basis)
+        np.testing.assert_array_equal(seg.static_hamiltonian(basis).dense(), ref.dense())
+
+    def test_zero_amplitude_drive_runs_undriven(self, monkeypatch):
+        from quenchsim import propagator
+
+        L = 4
+        psi0 = parse_product_state("0101", build_basis(L, 3, sector=2))
+        zero = DriveSpec.from_mhz([0.0] * L, 120.0)
+        seg = make_segment(3 * zero.period_ns, 16.0, 240.0, L)
+        driven = make_segment(seg.duration_ns, 16.0, 240.0, L, drive=zero)
+
+        def run(s):
+            proto = Protocol((s, reverse_of(s)), sample_dt_ns=zero.period_ns)
+            return list(run_protocol(proto, psi0))
+
+        undriven = run(seg)
+
+        def no_driven(*args):
+            raise AssertionError("evolve_driven called")
+
+        monkeypatch.setattr(propagator, "evolve_driven", no_driven)
+        assert driven.drive is None
+        for (t, a), (u, b) in zip(run(driven), undriven, strict=True):
+            assert t == u
+            np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
+
+
 class TestProtocol:
+    @pytest.mark.parametrize("duration", [math.inf, math.nan])
+    def test_non_finite_duration_raises(self, duration):
+        with pytest.raises(ValueError, match="finite"):
+            make_segment(duration, 10.0, 0.0, 2)
+
     def test_argument_errors(self):
         with pytest.raises(ValueError, match="non-negative"):
             make_segment(-1.0, 10.0, 0.0, 2)
@@ -590,7 +670,7 @@ class TestProtocol:
         monkeypatch.setattr(Segment, "drive_operator", tracked(drive_operator))
         proto = Protocol((seg, reverse_of(seg)), sample_dt_ns=seg.duration_ns / 2)
         assert len(list(run_protocol(proto, psi0))) == 5
-        assert len(refs) == (4 if driven else 2)
+        assert len(refs) == 2
         assert alive_at_assembly == [0, 0]
 
     def test_number_conservation_without_field(self):

@@ -787,7 +787,8 @@ path = point.csv
 
     def test_pool_bounded_by_points(self, tmp_path, monkeypatch):
         # the pool forks all its workers at the first submit, so a worker
-        # count above the number of points would only fork idle processes
+        # count above the number of points, or of the CPUs this process may
+        # use, would only fork processes that wait and hold memory
         sizes = []
 
         class InlinePool:
@@ -806,12 +807,14 @@ path = point.csv
                 return fut
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
-        cfg = load_config(self.BASE).with_overrides(
-            {"axis_coupling_mhz": "4, 16", "parallelism": "64",
-             "path": str(tmp_path / "point.csv")})
-        results = run_sweep(cfg)
-        assert sizes == [2]
-        assert all(r.error is None for r in results) and len(results) == 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        for axis, points in (("4, 16", 2), ("4, 8, 16", 3)):
+            cfg = load_config(self.BASE).with_overrides(
+                {"axis_coupling_mhz": axis, "parallelism": "64",
+                 "path": str(tmp_path / "point.csv")})
+            results = run_sweep(cfg)
+            assert all(r.error is None for r in results) and len(results) == points
+        assert sizes == [2, 2]
 
     def test_parallel_pool(self, tmp_path):
         cfg = load_config(self.BASE).with_overrides(
