@@ -19,10 +19,10 @@ from .fockspace import (
     FockBasis,
     ResourceLimitError,
     StateVector,
+    _embedded_amplitudes,
     basis_dim,
     build_basis,
     check_codes_fit,
-    embed_state,
 )
 from .operators import (
     AnharmonicityProfile,
@@ -77,29 +77,23 @@ class ObservableRecord:
         return float(self.populations[:, level].sum())
 
 
-def _embed_to_common(a: StateVector, b: StateVector):
-    if a.basis == b.basis:
-        return a, b
-    if a.basis.L != b.basis.L:
-        raise ValueError("states have different site counts")
-
-    def rank(basis):
-        return (basis.K, basis.sector is None)
-
-    if rank(a.basis) <= rank(b.basis):
-        return embed_state(a, b.basis), b
-    return a, embed_state(b, a.basis)
-
-
 def fidelity(psi_a: StateVector, psi_b: StateVector) -> float:
     """Squared overlap |<a|b>|^2 in [0, 1].
 
-    States over different bases are embedded automatically when one basis
-    extends the other (more levels per site, or full space versus sector).
+    States over different bases are compared when one basis extends the
+    other (more levels per site, or full space versus sector): the larger
+    state's amplitudes are gathered at the smaller one's states, and weight
+    of the smaller state outside the larger basis raises ValueError.
     """
-    a, b = _embed_to_common(psi_a, psi_b)
-    val = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
-    return float(min(1.0, val))
+    a, b = psi_a, psi_b
+    if a.basis == b.basis:
+        val = np.vdot(a.amplitudes, b.amplitudes)
+    else:
+        if (a.basis.K, a.basis.sector is None) > (b.basis.K, b.basis.sector is None):
+            a, b = b, a
+        amps, idx = _embedded_amplitudes(a, b.basis)
+        val = np.vdot(amps, b.amplitudes[idx])
+    return float(min(1.0, abs(val) ** 2))
 
 
 @lru_cache(maxsize=16)
@@ -277,10 +271,8 @@ def sector_spectrum(
         raise ResourceLimitError(f"sector dimension {dim} exceeds dense cap {MAX_DENSE_DIM}")
     basis = build_basis(L, K, sector=N)
     H = build_hopping(basis, coupling) + build_onsite_anharmonicity(basis, anharmonicity)
-    if H.matrix.data.imag.any():
-        raise ValueError("sector Hamiltonian has complex entries")
     # Fortran order lets dsyevd write the eigenvectors over it, uncopied
-    dense = H.matrix.real.toarray(order="F")
+    dense = H.matrix.toarray(order="F")
     evals, evecs = sla.eigh(dense, overwrite_a=True, driver="evd")
     w = _anharmonicity_weights(basis)
     a_vals = w @ np.square(evecs, out=evecs)

@@ -17,6 +17,7 @@ before anything is allocated.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -374,6 +375,39 @@ def parse_product_state(spec: str, basis: FockBasis) -> StateVector:
     return build_product_state(product_sites(spec, basis.L, basis.K), basis)
 
 
+@lru_cache(maxsize=16)
+def _embedding(src: FockBasis, target: FockBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Which states of src the target holds (a mask) and their target indices.
+
+    Read-only and cached, so a state compared at every sample against one
+    of another basis costs one gather, not a new target-length vector.
+    """
+    if target.L != src.L:
+        raise ValueError(f"site count mismatch: {src.L} vs {target.L}")
+    if target.K < src.K:
+        raise ValueError(f"target has fewer levels ({target.K}) than source ({src.K})")
+    idx = target.find_codes(src.states.astype(np.int64) @ target.site_radix)
+    keep = idx >= 0
+    idx = idx[keep]
+    keep.setflags(write=False)
+    idx.setflags(write=False)
+    return keep, idx
+
+
+def _embedded_amplitudes(state: StateVector, target: FockBasis) -> tuple[np.ndarray, np.ndarray]:
+    """State's amplitudes on the states target holds, and their indices there.
+
+    Raises ValueError if the state has weight on any other state.
+    """
+    keep, idx = _embedding(state.basis, target)
+    amps = state.amplitudes
+    if not keep.all():
+        if np.any(amps[~keep] != 0):
+            raise ValueError(f"state has weight outside target sector {target._label()}")
+        amps = amps[keep]
+    return amps, idx
+
+
 def embed_state(state: StateVector, target: FockBasis) -> StateVector:
     """Re-express a state over a larger basis with more levels per site.
 
@@ -383,19 +417,7 @@ def embed_state(state: StateVector, target: FockBasis) -> StateVector:
     levels; if the target is sector-restricted the state must lie in that
     sector.
     """
-    src = state.basis
-    if target.L != src.L:
-        raise ValueError(f"site count mismatch: {src.L} vs {target.L}")
-    if target.K < src.K:
-        raise ValueError(f"target has fewer levels ({target.K}) than source ({src.K})")
-    codes = src.states.astype(np.int64) @ target.site_radix
-    idx = target.find_codes(codes)
-    missing = (idx < 0) & (state.amplitudes != 0)
-    if np.any(missing):
-        raise ValueError(
-            f"state has weight outside target sector {target._label()}"
-        )
-    amps = np.zeros(target.dim, dtype=np.complex128)
-    keep = idx >= 0
-    amps[idx[keep]] = state.amplitudes[keep]
-    return StateVector._adopt(target, amps)
+    amps, idx = _embedded_amplitudes(state, target)
+    out = np.zeros(target.dim, dtype=np.complex128)
+    out[idx] = amps
+    return StateVector._adopt(target, out)

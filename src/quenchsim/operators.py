@@ -12,6 +12,12 @@ counts each row's entries and scatters every term straight into the CSR
 arrays. ``Segment.static_hamiltonian`` passes all of its terms in one call,
 so a Hamiltonian is built without per-term matrices or summed copies.
 
+Every term has real matrix elements in the Fock basis, so every operator
+built here is real symmetric and stored as float64 CSR. ``SparseOperator``
+applies a real matrix to a complex state as two real products, one for the
+real and one for the imaginary part, which are bit for bit the complex
+product at half the stored bytes.
+
 Unit convention: every user-facing frequency is quoted as ``f = value/2pi``
 in MHz, exactly as device parameters are usually reported. Internally all
 profiles store angular frequencies in rad/ns (``omega = 2*pi*f*1e-3``) and
@@ -166,15 +172,18 @@ class DriveSpec:
 
 
 class SparseOperator:
-    """Sparse complex matrix over a FockBasis with a hermiticity tag.
+    """Sparse matrix over a FockBasis with a hermiticity tag.
 
-    The tag is set by the builders, which emit conjugate entry pairs, so
-    ``hermitian=True`` implies the matrix equals its adjoint exactly (not
-    just to rounding).
+    The matrix is stored as float64 CSR when its entries are real and as
+    complex128 CSR otherwise. The tag is set by the builders, which emit
+    mirrored entry pairs, so ``hermitian=True`` implies the matrix equals
+    its adjoint exactly (not just to rounding).
     """
 
     def __init__(self, basis: FockBasis, matrix, hermitian: bool):
-        matrix = sp.csr_matrix(matrix, dtype=np.complex128)
+        matrix = sp.csr_matrix(matrix)
+        matrix = matrix.astype(np.complex128 if matrix.dtype.kind == "c" else np.float64,
+                               copy=False)
         if matrix.shape != (basis.dim, basis.dim):
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match basis dimension {basis.dim}"
@@ -192,7 +201,17 @@ class SparseOperator:
         return self.matrix.nnz
 
     def matvec(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
+        """A new array ``matrix @ vec``.
+
+        A real matrix meets a complex vector as two real products: ``@``
+        would upcast a complex copy of the whole matrix on every call.
+        """
+        if self.matrix.dtype.kind == "c" or vec.dtype.kind != "c":
+            return self.matrix @ vec
+        out = np.empty_like(vec)
+        out.real = self.matrix @ vec.real
+        out.imag = self.matrix @ vec.imag
+        return out
 
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -202,7 +221,7 @@ class SparseOperator:
 
     def expectation(self, state) -> complex:
         v = state.amplitudes if hasattr(state, "amplitudes") else np.asarray(state)
-        val = complex(np.vdot(v, self.matrix @ v))
+        val = complex(np.vdot(v, self.matvec(v)))
         return val.real if self.hermitian else val
 
     def _check_compatible(self, other: "SparseOperator") -> None:
@@ -226,8 +245,9 @@ class SparseOperator:
 
     def __mul__(self, scalar) -> "SparseOperator":
         scalar = complex(scalar)
-        hermitian = self.hermitian and scalar.imag == 0
-        return SparseOperator(self.basis, self.matrix * scalar, hermitian)
+        real = scalar.imag == 0
+        return SparseOperator(self.basis, self.matrix * (scalar.real if real else scalar),
+                              self.hermitian and real)
 
     __rmul__ = __mul__
 
@@ -241,7 +261,10 @@ def _assemble(basis: FockBasis, diag, pairs) -> SparseOperator:
 
     ``diag`` is a real vector or None; ``pairs`` is a list of (src, tgt,
     amp) index and real-amplitude arrays, and each contributes both
-    mirrored entries, so the result is exactly Hermitian. The entries of
+    mirrored entries, so the result is exactly symmetric and float64. The
+    pair builders hold their indices as int32, which ``MAX_BASIS_DIM``
+    (2**24) allows: a full-basis Hamiltonian's pairs are most of the
+    memory its assembly holds besides the CSR arrays. The entries of
     each row are counted, every term is scattered straight into the CSR
     arrays, and each row's columns are sorted in place; zero entries are
     dropped. No row may repeat within one index array and no two terms may
@@ -267,7 +290,7 @@ def _assemble(basis: FockBasis, diag, pairs) -> SparseOperator:
     indptr = np.zeros(dim + 1, dtype=index)
     indptr[1:] = ends
     indices = np.empty(nnz, dtype=index)
-    data = np.empty(nnz, dtype=np.complex128)
+    data = np.empty(nnz, dtype=np.float64)
     fill = ends  # each row fills from its end back to its start
     for rows, cols, vals in parts:
         fill[rows] -= 1
@@ -291,12 +314,13 @@ def _hopping_pairs(basis: FockBasis, profile: CouplingProfile) -> list:
         if Jj == 0:
             continue
         # a+_j a_{j+1}: needs headroom on j and a particle on j+1.
-        src = np.nonzero((n[:, j] < basis.K - 1) & (n[:, j + 1] > 0))[0]
+        src = np.flatnonzero((n[:, j] < basis.K - 1) & (n[:, j + 1] > 0)).astype(np.int32)
         amp = Jj * np.sqrt(
             (n[src, j].astype(np.float64) + 1.0) * n[src, j + 1].astype(np.float64)
         )
         shift = int(basis.site_radix[j]) - int(basis.site_radix[j + 1])
-        pairs.append((src, basis.indices_from_codes(basis.codes[src] + shift), amp))
+        tgt = basis.indices_from_codes(basis.codes[src] + shift).astype(np.int32)
+        pairs.append((src, tgt, amp))
     return pairs
 
 
@@ -351,9 +375,10 @@ def _transverse_pairs(basis: FockBasis, profile: TransverseProfile) -> list:
     for j, Oj in enumerate(profile.values):
         if Oj == 0:
             continue
-        src = np.nonzero(n[:, j] < basis.K - 1)[0]
+        src = np.flatnonzero(n[:, j] < basis.K - 1).astype(np.int32)
         amp = 0.5 * Oj * np.sqrt(n[src, j].astype(np.float64) + 1.0)
         tgt = basis.indices_from_codes(basis.codes[src] + int(basis.site_radix[j]))
+        tgt = tgt.astype(np.int32)
         pairs.append((src, tgt, amp))
     return pairs
 

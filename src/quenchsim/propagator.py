@@ -146,6 +146,7 @@ class _Krylov:
                 rows.append(np.empty_like(rows[0]))
             # scaling the float view costs a tenth of a complex division
             np.multiply(self.w.view(np.float64), 1.0 / self.b, out=rows[k].view(np.float64))
+            self.w = None  # not alive across the matvec below: one n-vector less at the peak
         x = rows[k]
         w = self.matvec(x)
         if k:

@@ -70,6 +70,29 @@ class TestFidelity:
         assert fidelity(a, b) == pytest.approx(1.0, abs=1e-12)
         assert fidelity(b, a) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("small,big", [
+        ((4, 2, None), (4, 3, None)),
+        ((4, 2, 2), (4, 3, range(1, 4))),
+        ((4, 3, 2), (4, 3, None)),
+        ((4, 2, None), (4, 4, None)),
+    ])
+    def test_cross_basis_matches_embedding(self, small, big):
+        a = random_state(build_basis(*small), 11)
+        b = random_state(build_basis(*big), 12)
+        expected = fidelity(embed_state(a, b.basis), b)
+        assert 0.0 < expected < 1.0
+        assert fidelity(a, b) == pytest.approx(expected, rel=1e-13)
+        assert fidelity(b, a) == pytest.approx(expected, rel=1e-13)
+
+    def test_cross_basis_weight_outside_sector_rejected(self):
+        a = random_state(build_basis(4, 2), 11)  # weight on every N = 0..4
+        b = random_state(build_basis(4, 3, sector=2), 12)
+        with pytest.raises(ValueError, match="outside target sector"):
+            embed_state(a, b.basis)
+        for pair in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="outside target sector"):
+                fidelity(*pair)
+
     def test_incompatible_bases_rejected(self):
         a = parse_product_state("01", build_basis(2, 2))
         b = parse_product_state("010", build_basis(3, 2))

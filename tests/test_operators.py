@@ -13,6 +13,7 @@ from quenchsim import (
     CouplingProfile,
     DriveSpec,
     Segment,
+    SparseOperator,
     StateVector,
     TransverseProfile,
     bessel_j0,
@@ -273,7 +274,9 @@ class TestSparseOperatorAlgebra:
         basis = build_basis(2, 2)
         A = build_hopping(basis, CouplingProfile.from_mhz([10.0]))
         assert (-1.0 * A).hermitian
+        assert (-1.0 * A).matrix.dtype == np.float64
         assert not (1j * A).hermitian
+        assert (1j * A).matrix.dtype == np.complex128
 
     def test_mismatched_bases_rejected(self):
         A = build_hopping(build_basis(2, 2), CouplingProfile.from_mhz([10.0]))
@@ -348,6 +351,31 @@ class TestOnePassAssembly:
             assert op.hermitian
             assert np.all(op.matrix.data != 0)
             np.testing.assert_allclose(op.dense(), ref, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("kind", sorted(SECTORS))
+    def test_storage_is_float64(self, kind):
+        basis = build_basis(4, 3, sector=self.SECTORS[kind])
+        ops = [build_hopping(basis, self.cp), build_onsite_anharmonicity(basis, self.up),
+               build_number_weighted(basis, [1.0, -2.0, 0.5, 3.0]), total_number(basis),
+               Segment(1.0, self.cp, self.up).static_hamiltonian(basis)]
+        if kind == "full":
+            ops += [build_transverse(basis, self.tp),
+                    Segment(1.0, self.cp, self.up, self.tp).static_hamiltonian(basis)]
+        for op in ops:
+            assert op.matrix.dtype == np.float64
+            assert op.matrix.data.nbytes == 8 * op.nnz
+
+    @pytest.mark.parametrize("kind", sorted(SECTORS))
+    def test_real_matvec_equals_complex_product(self, kind):
+        basis = build_basis(4, 3, sector=self.SECTORS[kind])
+        tp = self.tp if kind == "full" else None
+        H = Segment(1.0, self.cp, self.up, tp, sign=-1).static_hamiltonian(basis)
+        C = SparseOperator(basis, H.matrix.astype(np.complex128), hermitian=True)
+        assert C.matrix.dtype == np.complex128  # complex entries keep complex storage
+        v = random_state(basis, 5).amplitudes
+        assert np.array_equal(H.matvec(v), C.matvec(v))
+        assert np.array_equal(H.matvec(v), C.matrix @ v)
+        assert H.expectation(v) == C.expectation(v)
 
     def test_assembly_memory(self):
         # on the full L=9, K=3 basis (dim 19683) with a transverse field,

@@ -256,6 +256,25 @@ class TestEvolveStatic:
         assert counts["eigh_tridiagonal"] <= 2
         assert counts["matvec"] <= 11
 
+    def test_previous_residual_dropped_before_matvec(self):
+        # once scaled into its row, the last residual is not held across the
+        # next matvec, which allocates that step's new residual
+        from quenchsim.propagator import _Krylov
+
+        basis, H = self._k3_chain(10, 2)
+        held = []
+
+        def matvec(v):
+            held.append(krylov.__dict__.get("w"))
+            return H.matvec(v)
+
+        krylov = _Krylov(matvec)
+        krylov.start(parse_product_state("0001001000", basis).amplitudes)
+        for _ in range(4):
+            krylov._extend()
+        assert len(held) == 4
+        assert all(w is None for w in held)
+
 
 class TestEvolveDriven:
     def _setup(self, L=3, K=3):
