@@ -18,6 +18,14 @@ applies a real matrix to a complex state as two real products, one for the
 real and one for the imaginary part, which are bit for bit the complex
 product at half the stored bytes.
 
+``_hamiltonian`` decides how a segment's Hamiltonian is stored. The full
+basis of L >= 2 sites is a tensor product, so at the half-chain cut
+``c = L // 2`` the Hamiltonian splits exactly into ``H_A (x) 1 + 1 (x) H_B``
+plus a CSR with the anharmonicity diagonal and the one bond across the
+cut. The two half-chain blocks are K**c and K**(L-c) square; at L = 10,
+K = 3 with a transverse field the three parts hold 115,481 entries against
+1,317,737 in one CSR. Restricted bases keep one CSR.
+
 Unit convention: every user-facing frequency is quoted as ``f = value/2pi``
 in MHz, exactly as device parameters are usually reported. Internally all
 profiles store angular frequencies in rad/ns (``omega = 2*pi*f*1e-3``) and
@@ -178,9 +186,15 @@ class SparseOperator:
     complex128 CSR otherwise. The tag is set by the builders, which emit
     mirrored entry pairs, so ``hermitian=True`` implies the matrix equals
     its adjoint exactly (not just to rounding).
+
+    On a full basis the operator may also hold ``blocks = (H_A, H_B)``, two
+    float64 CSR matrices of K**c and K**(L-c) rows, c = L // 2, with no
+    diagonal entries; it then stands for ``matrix + H_A (x) 1 + 1 (x) H_B``.
+    ``nnz`` counts the entries of all three. Sums carry the blocks, and
+    scaling carries them by a real factor and raises on a complex one.
     """
 
-    def __init__(self, basis: FockBasis, matrix, hermitian: bool):
+    def __init__(self, basis: FockBasis, matrix, hermitian: bool, blocks=None):
         matrix = sp.csr_matrix(matrix)
         matrix = matrix.astype(np.complex128 if matrix.dtype.kind == "c" else np.float64,
                                copy=False)
@@ -188,8 +202,13 @@ class SparseOperator:
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match basis dimension {basis.dim}"
             )
+        if blocks is not None:
+            rows = tuple(basis.K ** n for n in (basis.L // 2, basis.L - basis.L // 2))
+            if basis.sector is not None or tuple(b.shape[0] for b in blocks) != rows:
+                raise ValueError(f"half-chain blocks need the full basis and {rows} rows")
         self.basis = basis
         self.matrix = matrix
+        self.blocks = blocks
         self.hermitian = bool(hermitian)
 
     @property
@@ -198,26 +217,42 @@ class SparseOperator:
 
     @property
     def nnz(self) -> int:
-        return self.matrix.nnz
+        return self.matrix.nnz + sum(b.nnz for b in self.blocks or ())
 
     def matvec(self, vec: np.ndarray) -> np.ndarray:
-        """A new array ``matrix @ vec``.
+        """A new array: the operator applied to ``vec``.
 
         A real matrix meets a complex vector as two real products: ``@``
         would upcast a complex copy of the whole matrix on every call.
+        Blocks act on ``X = vec.reshape(K**c, K**(L-c))`` as ``H_A @ X``
+        and ``(H_B @ X.T).T``; each is one sparse-times-block product of a
+        float64 view, which applies the real block to the real and the
+        imaginary parts together.
         """
         if self.matrix.dtype.kind == "c" or vec.dtype.kind != "c":
-            return self.matrix @ vec
-        out = np.empty_like(vec)
-        out.real = self.matrix @ vec.real
-        out.imag = self.matrix @ vec.imag
+            out = self.matrix @ vec
+        else:
+            out = np.empty_like(vec)
+            out.real = self.matrix @ vec.real
+            out.imag = self.matrix @ vec.imag
+        if self.blocks is not None:
+            A, B = self.blocks
+            x = np.ascontiguousarray(vec, dtype=out.dtype).reshape(A.shape[0], B.shape[0])
+            y = out.reshape(x.shape)
+            y.view(np.float64)[...] += A @ x.view(np.float64)
+            xt = np.ascontiguousarray(x.T)
+            y += (B @ xt.view(np.float64)).view(x.dtype).T
         return out
 
     def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
+        if self.blocks is None:
+            return self.matrix.toarray()
+        A, B = self.blocks
+        return (self.matrix + sp.kron(A, sp.identity(B.shape[0]))
+                + sp.kron(sp.identity(A.shape[0]), B)).toarray()
 
     def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal()
+        return self.matrix.diagonal()  # blocks hold no diagonal entries
 
     def expectation(self, state) -> complex:
         v = state.amplitudes if hasattr(state, "amplitudes") else np.asarray(state)
@@ -230,24 +265,26 @@ class SparseOperator:
 
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
         self._check_compatible(other)
-        return SparseOperator(
-            self.basis, self.matrix + other.matrix, self.hermitian and other.hermitian
-        )
+        blocks = self.blocks or other.blocks
+        if self.blocks is not None and other.blocks is not None:
+            blocks = tuple(a + b for a, b in zip(self.blocks, other.blocks))
+        return SparseOperator(self.basis, self.matrix + other.matrix,
+                              self.hermitian and other.hermitian, blocks)
 
     def __sub__(self, other: "SparseOperator") -> "SparseOperator":
-        self._check_compatible(other)
-        return SparseOperator(
-            self.basis, self.matrix - other.matrix, self.hermitian and other.hermitian
-        )
+        return self + (-other)
 
     def __neg__(self) -> "SparseOperator":
-        return SparseOperator(self.basis, -self.matrix, self.hermitian)
+        return -1.0 * self
 
     def __mul__(self, scalar) -> "SparseOperator":
         scalar = complex(scalar)
         real = scalar.imag == 0
-        return SparseOperator(self.basis, self.matrix * (scalar.real if real else scalar),
-                              self.hermitian and real)
+        if not real and self.blocks is not None:
+            raise ValueError("half-chain blocks are real; scale them by a real factor")
+        factor = scalar.real if real else scalar
+        blocks = None if self.blocks is None else tuple(b * factor for b in self.blocks)
+        return SparseOperator(self.basis, self.matrix * factor, self.hermitian and real, blocks)
 
     __rmul__ = __mul__
 
@@ -390,6 +427,43 @@ def build_transverse(basis: FockBasis, profile: TransverseProfile) -> SparseOper
     full (unrestricted) space; a sector basis raises ValueError.
     """
     return _assemble(basis, None, _transverse_pairs(basis, profile))
+
+
+def _hamiltonian(basis: FockBasis, coupling: CouplingProfile,
+                 anharmonicity: AnharmonicityProfile, transverse: TransverseProfile | None,
+                 sign: int) -> SparseOperator:
+    """``sign * (hopping + transverse) + anharmonicity``, stored for its basis.
+
+    A restricted basis, or a single site, gets one CSR of every term. A full
+    basis of L >= 2 sites gets a CSR of the anharmonicity diagonal and the
+    bond c-1, c across the cut c = L // 2, plus the blocks H_A and H_B: the
+    hopping and transverse terms of sites 0..c-1 and c..L-1, each assembled
+    on its half chain's own full basis.
+    """
+    def terms(b, bonds, sites):
+        pairs = _hopping_pairs(b, CouplingProfile(tuple(bonds)))
+        if sites is not None:
+            pairs += _transverse_pairs(b, TransverseProfile(tuple(sites)))
+        for _, _, amp in pairs:
+            amp *= sign
+        return pairs
+
+    diag = _anharmonicity_diagonal(basis, anharmonicity)
+    L, J = basis.L, coupling.values
+    omega = None if transverse is None else transverse.values
+    if basis.sector is not None or L < 2:
+        return _assemble(basis, diag, terms(basis, J, omega))
+    if omega is not None and len(omega) != L:
+        raise ValueError(f"transverse profile needs {L} sites, got {len(omega)}")
+    c = L // 2
+    cut = [Jj if j == c - 1 else 0.0 for j, Jj in enumerate(J)]
+    matrix = _assemble(basis, diag, terms(basis, cut, None)).matrix
+    blocks = []
+    for lo, hi in ((0, c), (c, L)):
+        half = FockBasis(hi - lo, basis.K)
+        sites = None if omega is None else omega[lo:hi]
+        blocks.append(_assemble(half, None, terms(half, J[lo:hi - 1], sites)).matrix)
+    return SparseOperator(basis, matrix, True, tuple(blocks))
 
 
 def bessel_j0(x: float) -> float:

@@ -36,10 +36,7 @@ from .operators import (
     DriveSpec,
     SparseOperator,
     TransverseProfile,
-    _anharmonicity_diagonal,
-    _assemble,
-    _hopping_pairs,
-    _transverse_pairs,
+    _hamiltonian,
     build_number_weighted,
 )
 
@@ -129,6 +126,7 @@ class _Krylov:
     def start(self, v):
         """Begin a new basis at v, whose offset is 0."""
         self.scale = dznrm2(v)
+        self.w = None  # a rebuild's first matvec must not hold the last basis's residual
         if not self.rows:
             self.rows.append(np.empty(v.size, dtype=np.complex128))
         np.divide(v, self.scale, out=self.rows[0])
@@ -364,14 +362,13 @@ class Segment:
             object.__setattr__(self, "transverse", None)
 
     def static_hamiltonian(self, basis: FockBasis) -> SparseOperator:
-        """Hopping, anharmonicity and transverse terms assembled in one pass."""
-        diag = _anharmonicity_diagonal(basis, self.anharmonicity)
-        pairs = _hopping_pairs(basis, self.coupling)
-        if self.transverse is not None:
-            pairs += _transverse_pairs(basis, self.transverse)
-        for _, _, amp in pairs:
-            amp *= self.sign
-        return _assemble(basis, diag, pairs)
+        """Hopping, anharmonicity and transverse terms, stored for the basis.
+
+        A restricted basis gets one CSR; a full basis of two or more sites
+        gets two half-chain blocks plus a CSR of the diagonal and the bond
+        across the cut (``operators._hamiltonian``).
+        """
+        return _hamiltonian(basis, self.coupling, self.anharmonicity, self.transverse, self.sign)
 
     def drive_operator(self, basis: FockBasis) -> SparseOperator | None:
         """``sum_j eps_j n_j`` or None; kept only as a span target of bench/tracer.py."""

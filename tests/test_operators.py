@@ -334,6 +334,10 @@ class TestOnePassAssembly:
         if tp is not None:
             ref = ref + sign * build_transverse(basis, tp)
         assert H.hermitian
+        if kind == "full":  # stored as half-chain blocks plus the bond across the cut
+            np.testing.assert_array_equal(H.dense(), ref.dense())
+            assert all(np.all(m.data != 0) for m in (H.matrix, *H.blocks))
+            return
         for name in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(H.matrix, name), getattr(ref.matrix, name))
         assert np.all(H.matrix.data != 0)
@@ -362,27 +366,32 @@ class TestOnePassAssembly:
             ops += [build_transverse(basis, self.tp),
                     Segment(1.0, self.cp, self.up, self.tp).static_hamiltonian(basis)]
         for op in ops:
-            assert op.matrix.dtype == np.float64
-            assert op.matrix.data.nbytes == 8 * op.nnz
+            parts = (op.matrix, *(op.blocks or ()))
+            assert all(m.dtype == np.float64 for m in parts)
+            assert sum(m.data.nbytes for m in parts) == 8 * op.nnz
 
     @pytest.mark.parametrize("kind", sorted(SECTORS))
     def test_real_matvec_equals_complex_product(self, kind):
         basis = build_basis(4, 3, sector=self.SECTORS[kind])
         tp = self.tp if kind == "full" else None
         H = Segment(1.0, self.cp, self.up, tp, sign=-1).static_hamiltonian(basis)
+        assert (H.blocks is not None) == (kind == "full")
+        R = SparseOperator(basis, H.matrix, hermitian=True)  # the CSR part alone
         C = SparseOperator(basis, H.matrix.astype(np.complex128), hermitian=True)
         assert C.matrix.dtype == np.complex128  # complex entries keep complex storage
         v = random_state(basis, 5).amplitudes
-        assert np.array_equal(H.matvec(v), C.matvec(v))
-        assert np.array_equal(H.matvec(v), C.matrix @ v)
-        assert H.expectation(v) == C.expectation(v)
+        assert np.array_equal(R.matvec(v), C.matvec(v))
+        assert np.array_equal(R.matvec(v), C.matrix @ v)
+        assert R.expectation(v) == C.expectation(v)
+        assert np.array_equal(H.matvec(v), H.matvec(v.real) + 1j * H.matvec(v.imag))
 
     def test_assembly_memory(self):
-        # on the full L=9, K=3 basis (dim 19683) with a transverse field,
-        # building the Hamiltonian may grow peak memory by at most 2.2 times
-        # the CSR arrays it returns. The peak is the process's own VmHWM:
-        # ru_maxrss of a child starts at its parent's resident size, so under
-        # a large test process it would not move.
+        # building the Hamiltonian of the full L=10, K=3 basis (dim 59049)
+        # with a transverse field may grow peak memory by at most 12 MB;
+        # one CSR of its 1,317,737 entries grew it by about 26.5 MB. The
+        # peak is the process's own VmHWM: ru_maxrss of a child starts at its
+        # parent's resident size, so under a large test process it would not
+        # move.
         code = textwrap.dedent("""
             from quenchsim import (AnharmonicityProfile, CouplingProfile, Segment,
                                    TransverseProfile, build_basis)
@@ -390,20 +399,86 @@ class TestOnePassAssembly:
                 with open("/proc/self/status") as status:
                     return next(int(line.split()[1]) for line in status
                                 if line.startswith("VmHWM:"))
-            def hamiltonian(L):
-                seg = Segment(1.0, CouplingProfile.from_mhz([16.0] * (L - 1)),
-                              AnharmonicityProfile.from_mhz([240.0] * L),
-                              TransverseProfile.from_mhz([16.0] * L))
-                return seg.static_hamiltonian(build_basis(L, 3)).matrix
-            hamiltonian(4)
+            def segment(L):
+                return Segment(1.0, CouplingProfile.from_mhz([16.0] * (L - 1)),
+                               AnharmonicityProfile.from_mhz([240.0] * L),
+                               TransverseProfile.from_mhz([16.0] * L))
+            segment(4).static_hamiltonian(build_basis(4, 3))
+            basis = build_basis(10, 3)
             before = peak_kb()
-            m = hamiltonian(9)
+            H = segment(10).static_hamiltonian(basis)
             after = peak_kb()
-            print(m.shape[0], (after - before) * 1024
-                  / (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes))
+            print(H.dim, (after - before) / 1024)
         """)
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env=dict(os.environ, PYTHONPATH=SRC))
-        dim, growth = out.stdout.split()
-        assert int(dim) == 3**9
-        assert float(growth) <= 2.2
+        dim, growth_mb = out.stdout.split()
+        assert int(dim) == 3**10
+        assert float(growth_mb) <= 12.0
+
+
+class TestHalfChainBlocks:
+    """A full-basis Hamiltonian is stored as H_A (x) 1 + 1 (x) H_B plus a CSR."""
+
+    GRID = [(L, K) for L in range(2, 8) for K in (2, 3, 4) if K**L <= 3**7]
+
+    @staticmethod
+    def _segment(L, sign, field, cut_coupling):
+        J = [10.8 + 0.3 * j for j in range(L - 1)]
+        if not cut_coupling:
+            J[L // 2 - 1] = 0.0
+        tp = TransverseProfile.from_mhz([5.0 + 0.5 * j for j in range(L)]) if field else None
+        return Segment(1.0, CouplingProfile.from_mhz(J),
+                       AnharmonicityProfile.from_mhz([212.0 + 4.0 * j for j in range(L)]),
+                       tp, sign=sign)
+
+    @pytest.mark.parametrize("L,K", GRID)
+    def test_dense_equals_operator_sum(self, L, K):
+        basis = build_basis(L, K)
+        v = random_state(basis, L * K).amplitudes
+        for sign in (1, -1):
+            for field in (True, False):
+                for cut_coupling in (True, False):
+                    seg = self._segment(L, sign, field, cut_coupling)
+                    H = seg.static_hamiltonian(basis)
+                    ref = sign * build_hopping(basis, seg.coupling) + \
+                        build_onsite_anharmonicity(basis, seg.anharmonicity)
+                    if field:
+                        ref = ref + sign * build_transverse(basis, seg.transverse)
+                    assert [b.shape[0] for b in H.blocks] == [K ** (L // 2), K ** (L - L // 2)]
+                    assert not any(b.diagonal().any() for b in H.blocks)
+                    np.testing.assert_array_equal(H.dense(), ref.dense())
+                    np.testing.assert_array_equal(H.diagonal(), ref.diagonal())
+                    assert H.nnz == sum(m.nnz for m in (H.matrix, *H.blocks)) <= ref.nnz
+                    np.testing.assert_allclose(H.matvec(v), ref.matvec(v), rtol=0, atol=1e-12)
+                    assert np.array_equal(H.matvec(v),
+                                          H.matvec(v.real) + 1j * H.matvec(v.imag))
+
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    def test_single_site_keeps_plain_csr(self, K):
+        basis = build_basis(1, K)
+        seg = Segment(1.0, CouplingProfile(()), AnharmonicityProfile.from_mhz([240.0]),
+                      TransverseProfile.from_mhz([16.0]), sign=-1)
+        H = seg.static_hamiltonian(basis)
+        assert H.blocks is None
+        ref = build_onsite_anharmonicity(basis, seg.anharmonicity) + \
+            -1 * build_transverse(basis, seg.transverse)
+        np.testing.assert_array_equal(H.dense(), ref.dense())
+
+    def test_algebra_carries_blocks_or_raises(self):
+        basis = build_basis(5, 3)
+        H = self._segment(5, -1, True, True).static_hamiltonian(basis)
+        N = total_number(basis)
+        dense, n = H.dense(), N.dense()
+        v = random_state(basis, 3).amplitudes
+        for op, ref in [(H + N, dense + n), (N + H, n + dense), (H + H, 2 * dense),
+                        (H - N, dense - n), (N - H, n - dense), (-H, -dense),
+                        (2.5 * H, 2.5 * dense), (H * -0.5, -0.5 * dense)]:
+            assert op.blocks is not None and op.hermitian
+            np.testing.assert_array_equal(op.dense(), ref)
+            np.testing.assert_allclose(op.matvec(v), ref @ v, rtol=0, atol=1e-12)
+        with pytest.raises(ValueError, match="real factor"):
+            1j * H
+        with pytest.raises(ValueError, match="half-chain blocks"):
+            sector = build_basis(5, 3, sector=2)
+            SparseOperator(sector, np.zeros((sector.dim, sector.dim)), True, H.blocks)

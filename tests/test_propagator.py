@@ -275,6 +275,24 @@ class TestEvolveStatic:
         assert len(held) == 4
         assert all(w is None for w in held)
 
+    def test_rebuild_drops_previous_residual(self):
+        # a full basis that is rebuilt does not hold its last residual
+        # through the new basis's first matvec
+        from quenchsim.propagator import _Krylov
+
+        basis, H = self._k3_chain(10, 2)
+        held = []
+
+        def matvec(v):
+            if krylov.k == 0:
+                held.append(krylov.__dict__.get("w"))
+            return H.matvec(v)
+
+        krylov = _Krylov(matvec)
+        krylov.advance(parse_product_state("0001001000", basis).amplitudes, 500.0)
+        assert len(held) > 1  # rebuilt at least once
+        assert all(w is None for w in held)
+
 
 class TestEvolveDriven:
     def _setup(self, L=3, K=3):
