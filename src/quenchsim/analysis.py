@@ -2,6 +2,13 @@
 anharmonicity weight, bipartite entanglement entropy, number-sector spectra,
 and the dominant oscillation frequency of a sampled signal.
 
+On a full basis a state's index is its radix code, site 0 most
+significant, so populations, Pauli expectations and the half-chain entropy
+read the amplitudes as a ``(K,)*L`` tensor (``FockBasis._tensor``, a
+reshape) and build no table. Sector and range bases skip codes; there they
+go through cached per-site index tables, and the entropy scatters the
+amplitudes into a zero-filled matrix.
+
 All functions are pure with respect to their inputs and safe to call
 concurrently on shared immutable states.
 """
@@ -119,14 +126,25 @@ def _prefix_tables(basis: FockBasis):
 def site_populations(psi: StateVector) -> np.ndarray:
     """(L, K) array of per-site level probabilities.
 
-    The probability mass is summed over ever shorter prefixes, from the
-    last site to the first, so each site costs one ``bincount`` over the
-    distinct prefixes ending at it rather than over the whole basis.
+    On the full basis the probability mass, re^2 + im^2 of the amplitudes'
+    float view, is a (K,)*L tensor, and each site's row sums its axis
+    against the others. On a restricted basis the mass is summed over ever
+    shorter prefixes (cached ``_prefix_tables``), from the last site to the
+    first, so each site costs one ``bincount`` over the distinct prefixes
+    ending at it rather than over the whole basis.
     """
     basis = psi.basis
+    out = np.empty((basis.L, basis.K))
+    tensor = basis._tensor(psi.amplitudes)
+    if tensor is not None:
+        parts = tensor.view(np.float64)  # re, im interleaved along the last axis
+        mass = np.square(parts[..., 0::2])
+        mass += np.square(parts[..., 1::2])
+        for j in range(basis.L):
+            out[j] = np.einsum(mass, range(basis.L), [j])
+        return out
     levels, starts = _prefix_tables(basis)
     mass = np.abs(psi.amplitudes) ** 2
-    out = np.empty((basis.L, basis.K))
     for j in range(basis.L - 1, -1, -1):
         out[j] = np.bincount(levels[j], weights=mass, minlength=basis.K)
         if j:
@@ -161,16 +179,29 @@ def pauli_expectation(psi: StateVector, site: int, axis: str) -> float:
     The operator acts as the usual 2x2 Pauli matrix on levels {0, 1} and as
     zero on leakage levels (projected, not renormalized), so a site fully in
     level 2 reports zero along every axis. The z convention is P0 - P1.
+
+    On the full basis the state is read as a K**site x K x K**(L-site-1)
+    tensor: x and y come from ``np.vdot`` of its level-1 and level-0
+    slices, z from the two slices' squared norms. On a restricted basis x
+    and y pair the states through cached ``_pauli_pairs`` index tables, and
+    z is a difference of level populations.
     """
     basis = psi.basis
     if not 0 <= site < basis.L:
         raise ValueError(f"site {site} outside [0, {basis.L})")
     if axis not in ("x", "y", "z"):
         raise ValueError(f"axis must be x, y or z, got {axis!r}")
-    if axis == "z":
+    tensor = basis._tensor(psi.amplitudes, (site, 1, basis.L - site - 1))
+    if tensor is not None:
+        zero, one = tensor[:, 0], tensor[:, 1]
+        if axis == "z":
+            return float(np.vdot(zero, zero).real - np.vdot(one, one).real)
+        cross = np.vdot(one, zero)
+    elif axis == "z":
         return level_population(psi, site, 0) - level_population(psi, site, 1)
-    i0, i1 = _pauli_pairs(basis, site)
-    cross = np.sum(np.conj(psi.amplitudes[i1]) * psi.amplitudes[i0])
+    else:
+        i0, i1 = _pauli_pairs(basis, site)
+        cross = np.sum(np.conj(psi.amplitudes[i1]) * psi.amplitudes[i0])
     if axis == "x":
         return float(2.0 * cross.real)
     return float(-2.0 * cross.imag)
@@ -200,9 +231,11 @@ def anharmonicity_expectation(psi: StateVector) -> float:
 def half_chain_entropy(psi: StateVector, cut: int) -> float:
     """Von Neumann entropy (nats) of the first ``cut`` sites.
 
-    The amplitudes are scattered into a (K^cut) x (K^(L-cut)) matrix whose
-    singular values give the Schmidt spectrum. Raises ResourceLimitError
-    when the rectangle would exceed the dense-size cap.
+    The singular values of the (K^cut) x (K^(L-cut)) amplitude matrix give
+    the Schmidt spectrum. On the full basis that matrix is the amplitude
+    vector reshaped; a restricted basis scatters its amplitudes into a
+    zero-filled one. Raises ResourceLimitError when the rectangle would
+    exceed the dense-size cap.
     """
     basis = psi.basis
     if not 1 <= cut < basis.L:
@@ -213,10 +246,13 @@ def half_chain_entropy(psi: StateVector, cut: int) -> float:
         raise ResourceLimitError(
             f"bipartition needs {rows}x{cols} dense elements, above the cap"
         )
-    # Radix codes put site 0 first, so code = row * cols + col on every basis.
-    m = np.zeros(rows * cols, dtype=np.complex128)
-    m[basis.codes] = psi.amplitudes
-    s = np.linalg.svd(m.reshape(rows, cols), compute_uv=False)
+    m = basis._tensor(psi.amplitudes, (cut, basis.L - cut))
+    if m is None:
+        # Radix codes put site 0 first, so code = row * cols + col.
+        m = np.zeros(rows * cols, dtype=np.complex128)
+        m[basis.codes] = psi.amplitudes
+        m = m.reshape(rows, cols)
+    s = np.linalg.svd(m, compute_uv=False)
     lam = s**2
     lam = lam[lam > 1e-15]
     return float(-np.sum(lam * np.log(lam)))

@@ -241,6 +241,21 @@ class FockBasis:
             raise IndexError(f"index {i} outside [0, {self.dim})")
         return tuple(int(n) for n in self._states[i])
 
+    def _tensor(self, values: np.ndarray, sites: Sequence[int] | None = None):
+        """A per-state vector as a tensor with one axis per site, or None.
+
+        On the full basis a state's index is its radix code, site 0 most
+        significant, so ``values.reshape((K,) * L)`` puts site j's level on
+        axis j and copies nothing. ``sites`` groups consecutive sites into
+        one axis each instead: ``(c, L - c)`` gives the K**c x K**(L-c)
+        matrix of the cut after site c-1. A restricted basis skips codes,
+        so it has no such view and gets None.
+        """
+        if self.sector is not None:
+            return None
+        sites = (1,) * self.L if sites is None else sites
+        return values.reshape(tuple(self.K**n for n in sites))
+
     def find_codes(self, codes: np.ndarray) -> np.ndarray:
         """Vectorized code -> index map, -1 where a code is absent."""
         codes = np.asarray(codes, dtype=np.int64)

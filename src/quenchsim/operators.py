@@ -451,7 +451,7 @@ def _hamiltonian(basis: FockBasis, coupling: CouplingProfile,
     diag = _anharmonicity_diagonal(basis, anharmonicity)
     L, J = basis.L, coupling.values
     omega = None if transverse is None else transverse.values
-    if basis.sector is not None or L < 2:
+    if L < 2 or basis._tensor(diag) is None:  # a restricted basis is no tensor product
         return _assemble(basis, diag, terms(basis, J, omega))
     if omega is not None and len(omega) != L:
         raise ValueError(f"transverse profile needs {L} sites, got {len(omega)}")

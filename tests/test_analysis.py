@@ -446,3 +446,132 @@ class TestRangeBasisObservables:
             assert pauli_expectation(psi, j, "x") == pytest.approx(
                 pauli_expectation(big, j, "x"), abs=1e-14
             )
+
+
+def _table_observables(psi):
+    """Populations and Pauli x/y/z through the index tables of any basis."""
+    from quenchsim.analysis import _pauli_pairs, _prefix_tables
+
+    basis = psi.basis
+    levels, starts = _prefix_tables(basis)
+    mass = np.abs(psi.amplitudes) ** 2
+    pops = np.empty((basis.L, basis.K))
+    for j in range(basis.L - 1, -1, -1):
+        pops[j] = np.bincount(levels[j], weights=mass, minlength=basis.K)
+        if j:
+            mass = np.add.reduceat(mass, starts[j])
+    pauli = []
+    for j in range(basis.L):
+        i0, i1 = _pauli_pairs(basis, j)
+        cross = np.sum(np.conj(psi.amplitudes[i1]) * psi.amplitudes[i0])
+        pauli.append((2.0 * cross.real, -2.0 * cross.imag, pops[j, 0] - pops[j, 1]))
+    return pops, np.array(pauli)
+
+
+def _scatter_entropy(psi, cut):
+    """half_chain_entropy through a zero-filled matrix scattered at the codes."""
+    basis = psi.basis
+    m = np.zeros(basis.K**basis.L, dtype=np.complex128)
+    m[basis.codes] = psi.amplitudes
+    lam = np.linalg.svd(m.reshape(basis.K**cut, -1), compute_uv=False) ** 2
+    lam = lam[lam > 1e-15]
+    return float(-np.sum(lam * np.log(lam)))
+
+
+def _site_operator(L, K, site, op):
+    """Dense ``1 (x) op (x) 1`` with op acting on one site."""
+    return np.kron(np.kron(np.eye(K**site), op), np.eye(K ** (L - site - 1)))
+
+
+class TestFullBasisTensorPath:
+    """A full basis reads its state as a K^L tensor, not through index tables."""
+
+    GRID = [(L, K) for L in range(1, 7) for K in (2, 3, 4)]
+
+    @staticmethod
+    def _observe(psi):
+        L = psi.basis.L
+        pauli = [[pauli_expectation(psi, j, axis) for axis in "xyz"] for j in range(L)]
+        return site_populations(psi), np.array(pauli)
+
+    @pytest.mark.parametrize("L,K", GRID, ids=[f"L{L}-K{K}" for L, K in GRID])
+    def test_matches_table_paths(self, L, K):
+        psi = random_state(build_basis(L, K), 100 * L + K)
+        pops, pauli = self._observe(psi)
+        ref_pops, ref_pauli = _table_observables(psi)
+        np.testing.assert_allclose(pops, ref_pops, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(pauli, ref_pauli, rtol=0, atol=1e-14)
+        for cut in range(1, L):
+            assert half_chain_entropy(psi, cut) == _scatter_entropy(psi, cut)
+
+    @pytest.mark.parametrize("L,K", [g for g in GRID if g[0] <= 4],
+                             ids=[f"L{L}-K{K}" for L, K in GRID if L <= 4])
+    def test_matches_dense_kronecker_operators(self, L, K):
+        psi = random_state(build_basis(L, K), 7 * L + K)
+        v = psi.amplitudes
+        proj = [np.diag(np.eye(K)[level]) for level in range(K)]
+        x, y = np.zeros((K, K), complex), np.zeros((K, K), complex)
+        x[0, 1] = x[1, 0] = 1.0
+        y[0, 1], y[1, 0] = -1j, 1j
+        z = proj[0] - proj[1]
+        pops, pauli = self._observe(psi)
+        for j in range(L):
+            dense_pops = [np.vdot(v, _site_operator(L, K, j, p) @ v).real for p in proj]
+            dense_pauli = [np.vdot(v, _site_operator(L, K, j, op) @ v).real for op in (x, y, z)]
+            np.testing.assert_allclose(pops[j], dense_pops, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(pauli[j], dense_pauli, rtol=0, atol=1e-14)
+
+    def test_builds_no_index_tables(self):
+        from quenchsim.analysis import _pauli_pairs, _prefix_tables
+
+        _pauli_pairs.cache_clear()
+        _prefix_tables.cache_clear()
+        basis = build_basis(5, 3)
+        psi = random_state(basis, 3)
+        site_populations(psi)
+        for j in range(basis.L):
+            for axis in "xyz":
+                pauli_expectation(psi, j, axis)
+        for cut in range(1, basis.L):
+            half_chain_entropy(psi, cut)
+        anharmonicity_expectation(psi)
+        fidelity(psi, psi)
+        assert _pauli_pairs.cache_info().currsize == 0
+        assert _prefix_tables.cache_info().currsize == 0
+
+    def test_first_observation_memory(self):
+        # observing a random state of the full L=10, K=3 basis (dim 59049)
+        # once, with populations, ten Pauli x and the half-chain entropy,
+        # may grow peak memory by at most 3 MB; through the index tables
+        # and the scattered entropy matrix it grew by about 6.8 MB. The
+        # peak is the process's own VmHWM, read as test_assembly_memory does.
+        code = textwrap.dedent("""
+            import numpy as np
+            from quenchsim import (StateVector, build_basis, half_chain_entropy,
+                                   pauli_expectation, site_populations)
+            def peak_kb():
+                with open("/proc/self/status") as status:
+                    return next(int(line.split()[1]) for line in status
+                                if line.startswith("VmHWM:"))
+            def observe(psi):
+                site_populations(psi)
+                for j in range(psi.basis.L):
+                    pauli_expectation(psi, j, "x")
+                half_chain_entropy(psi, psi.basis.L // 2)
+            rng = np.random.default_rng(0)
+            def state(L):
+                basis = build_basis(L, 3)
+                return StateVector(basis, rng.normal(size=basis.dim)
+                                   + 1j * rng.normal(size=basis.dim))
+            observe(state(4))
+            psi = state(10)
+            before = peak_kb()
+            observe(psi)
+            after = peak_kb()
+            print(psi.basis.dim, (after - before) / 1024)
+        """)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=SRC))
+        dim, growth_mb = out.stdout.split()
+        assert int(dim) == 3**10
+        assert float(growth_mb) <= 3.0

@@ -247,6 +247,27 @@ class TestStateVector:
             a.overlap(b)
 
 
+class TestTensorView:
+    @pytest.mark.parametrize("L,K", [(1, 3), (3, 2), (4, 3)])
+    def test_full_basis_is_a_site_tensor(self, L, K):
+        basis = build_basis(L, K)
+        psi = random_state(basis, 5)
+        t = basis._tensor(psi.amplitudes)
+        assert t.shape == (K,) * L and np.shares_memory(t, psi.amplitudes)
+        for i, occ in enumerate(basis.states):
+            assert t[tuple(occ)] == psi.amplitudes[i]
+        for c in range(L + 1):
+            m = basis._tensor(psi.amplitudes, (c, L - c))
+            assert m.shape == (K**c, K ** (L - c)) and np.shares_memory(m, psi.amplitudes)
+
+    @pytest.mark.parametrize("sector", [2, range(1, 4)])
+    def test_restricted_basis_has_no_tensor(self, sector):
+        basis = build_basis(4, 3, sector=sector)
+        psi = random_state(basis, 6)
+        assert basis._tensor(psi.amplitudes) is None
+        assert basis._tensor(psi.amplitudes, (2, 2)) is None
+
+
 class TestRangeBasis:
     @pytest.mark.parametrize(
         "L,K,lo,hi", [(4, 3, 0, 4), (5, 2, 1, 3), (3, 4, 2, 7), (10, 3, 0, 10)]
