@@ -31,12 +31,7 @@ from .fockspace import (
     build_basis,
     check_codes_fit,
 )
-from .operators import (
-    AnharmonicityProfile,
-    CouplingProfile,
-    build_hopping,
-    build_onsite_anharmonicity,
-)
+from .operators import AnharmonicityProfile, CouplingProfile, _hamiltonian
 
 __all__ = [
     "ResourceLimitError",
@@ -306,7 +301,7 @@ def sector_spectrum(
     if dim > MAX_DENSE_DIM:
         raise ResourceLimitError(f"sector dimension {dim} exceeds dense cap {MAX_DENSE_DIM}")
     basis = build_basis(L, K, sector=N)
-    H = build_hopping(basis, coupling) + build_onsite_anharmonicity(basis, anharmonicity)
+    H = _hamiltonian(basis, coupling, anharmonicity, None, 1)
     # Fortran order lets dsyevd write the eigenvectors over it, uncopied
     dense = H.matrix.toarray(order="F")
     evals, evecs = sla.eigh(dense, overwrite_a=True, driver="evd")

@@ -1,10 +1,12 @@
 """Time evolution of state vectors under static and driven Hamiltonians.
 
 Every exponential ``exp(-i H dt) psi`` goes through ``_Krylov``, one Lanczos
-core with a local BLAS re-pass, a gated a-posteriori residual estimate and
-Expokit-style step control, at ``DEFAULT_TOL``, ``DEFAULT_KRYLOV_DIM`` and
-``MAX_HALVINGS``. Sinusoidally driven Hamiltonians are integrated with
-fourth-order commutator-free substeps (two Gauss nodes per substep) of
+core on numpy, whose basis is one array, with a local re-pass, a gated
+a-posteriori residual estimate and Expokit-style step control, at
+``DEFAULT_TOL``, ``DEFAULT_KRYLOV_DIM`` and ``MAX_HALVINGS``. The module
+calls no BLAS but numpy's, the library of ``_finish`` and the observables.
+Sinusoidally driven Hamiltonians are integrated with fourth-order
+commutator-free substeps (two Gauss nodes per substep) of
 ``default_substep_ns`` (T/64); one basis object serves every exponential of
 an ``evolve_driven`` call, which weighs each basis state by the
 ``DriveSpec`` amplitudes itself. Multi-segment protocols (forward plus
@@ -23,11 +25,6 @@ from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
-import scipy.linalg as sla
-# Every BLAS call of the Lanczos loop goes through scipy's OpenBLAS. With
-# numpy's copy in the same loop, the two libraries' thread pools contend:
-# at two BLAS threads on two cores a 30-vector basis took 2.7 times longer.
-from scipy.linalg.blas import dznrm2, zaxpy, zdotc
 
 from .fockspace import FockBasis, ResourceLimitError, StateVector
 from .operators import (
@@ -66,12 +63,12 @@ class NumericsError(RuntimeError):
 class _Ritz:
     """Eigenpairs of the Lanczos tridiagonal T, evaluated at any step.
 
-    One ``eigh_tridiagonal`` call serves every trial step: the first column
-    of exp(-i tau T) is ``vecs @ (exp(-i tau vals) * vecs[0])``.
+    One ``eigh`` call on T's lower triangle serves every trial step: the
+    first column of exp(-i tau T) is ``vecs @ (exp(-i tau vals) * vecs[0])``.
     """
 
     def __init__(self, alpha: np.ndarray, beta: np.ndarray):
-        self.vals, self.vecs = sla.eigh_tridiagonal(alpha, beta)
+        self.vals, self.vecs = np.linalg.eigh(np.diag(alpha) + np.diag(beta, -1), UPLO="L")
         self.size = alpha.size
         self.spread = float(self.vals[-1] - self.vals[0])
 
@@ -105,31 +102,37 @@ class _Krylov:
     starts at v. The steps one basis serves must share a sign. A full basis
     that cannot certify the target is rebuilt from the farthest offset it
     certifies at or after the emitted state, found by Expokit's step search
-    (Sidje, ACM TOMS 24:130, 1998). ``eigh_tridiagonal`` runs only where the
+    (Sidje, ACM TOMS 24:130, 1998). T is diagonalized only where the
     residual's leading Taylor term, prod(beta_1..beta_k) |tau|**k / (k-1)!,
     is below ``DEFAULT_TOL`` (or the basis is full): about one probe per
-    result, trusted where ``_Ritz.certifies`` holds. The basis holds at most
-    ``DEFAULT_KRYLOV_DIM`` rows, separate 1-D arrays allocated as it first
-    grows and reused by every rebuild, so a basis that certifies at k rows
+    result, trusted where ``_Ritz.certifies`` holds.
+
+    The rows live in one ``(DEFAULT_KRYLOV_DIM, n)`` array from ``np.empty``,
+    made at the first start and reused by every rebuild. Its pages are
+    touched only as rows are written, so a basis that certifies at k rows
     holds k of them; on the full basis these rows, not operator assembly,
-    set a run's peak memory. matvec must return a new array: the recurrence
-    updates it in place.
+    set a run's peak memory. Every BLAS call goes through numpy, the library
+    that ``_finish`` and the observables use too: with scipy's OpenBLAS in
+    the recurrence and both thread pools unpinned on two cores, the two
+    pools contended and seed-0 reversal-full took 3.6-4.0 s against
+    1.2-2.1 s on numpy alone. matvec must return a new array: the
+    recurrence updates it in place.
     """
 
     def __init__(self, matvec):
         self.matvec = matvec
-        self.rows = []
+        self.V = None
         self.alpha = np.empty(DEFAULT_KRYLOV_DIM)
         self.beta = np.empty(DEFAULT_KRYLOV_DIM)
         self.emitted = None
 
     def start(self, v):
         """Begin a new basis at v, whose offset is 0."""
-        self.scale = dznrm2(v)
+        self.scale = math.sqrt(np.vdot(v, v).real)
         self.w = None  # a rebuild's first matvec must not hold the last basis's residual
-        if not self.rows:
-            self.rows.append(np.empty(v.size, dtype=np.complex128))
-        np.divide(v, self.scale, out=self.rows[0])
+        if self.V is None:
+            self.V = np.empty((DEFAULT_KRYLOV_DIM, v.size), dtype=np.complex128)
+        np.divide(v, self.scale, out=self.V[0])
         self.k = 0
         self.at = 0.0  # offset of the emitted state
         self.ritz = None
@@ -137,31 +140,30 @@ class _Krylov:
 
     def _extend(self):
         k = self.k
-        rows = self.rows
+        V = self.V
         if k:
             self.beta[k - 1] = self.b
-            if len(rows) == k:
-                rows.append(np.empty_like(rows[0]))
             # scaling the float view costs a tenth of a complex division
-            np.multiply(self.w.view(np.float64), 1.0 / self.b, out=rows[k].view(np.float64))
+            np.multiply(self.w.view(np.float64), 1.0 / self.b, out=V[k].view(np.float64))
             self.w = None  # not alive across the matvec below: one n-vector less at the peak
-        x = rows[k]
+        x = V[k]
         w = self.matvec(x)
-        if k:
-            w = zaxpy(rows[k - 1], w, a=-self.beta[k - 1])
-        a = zdotc(x, w).real
+        rows = V[max(k - 1, 0):k + 1]
+        a = np.vdot(x, w).real
         self.alpha[k] = a
-        w = zaxpy(x, w, a=-a)
-        # One re-pass against the two vectors the recurrence used, not the
-        # whole basis: for exp(-i h H) psi the three-term recurrence stays
-        # accurate (Druskin, Greenbaum & Knizhnerman 1998). Full 30-vector
-        # bases on dimensions 50 and 55 at 50-500 ns, where Ritz values
-        # converge and |V^H V - I| reaches 0.4, stay within 1.3e-11 of dense
-        # propagation with norm drift below 3e-15 (tests/test_propagator.py).
-        for r in rows[max(k - 1, 0):k + 1]:
-            w = zaxpy(r, w, a=-zdotc(r, w))
+        # The three-term step w -= b V[k-1] + a V[k] is one real product of
+        # the float views, with at most one n-vector alive beside w. Then one
+        # re-pass against the two vectors the recurrence used, not the whole
+        # basis: for exp(-i h H) psi the three-term recurrence stays accurate
+        # (Druskin, Greenbaum & Knizhnerman 1998). Full 30-vector bases on
+        # dimensions 50 and 55 at 50-500 ns, where Ritz values converge and
+        # |V^H V - I| reaches 0.4, stay within 1.3e-11 of dense propagation
+        # with norm drift below 3e-15 (tests/test_propagator.py).
+        wf = w.view(np.float64)
+        wf -= np.array([self.b, a] if k else [a]) @ rows.view(np.float64)
+        w -= np.array([np.vdot(r, w) for r in rows]) @ rows
         self.w = w
-        self.b = dznrm2(w)
+        self.b = math.sqrt(np.vdot(w, w).real)
         self.k = k + 1
         if self.b >= 1e-14:
             self.log_pred += math.log(self.b) - math.log(max(k, 1))
@@ -191,10 +193,7 @@ class _Krylov:
     def emit(self, tau) -> np.ndarray:
         """scale * V[:k]^T exp(-i tau T) e_1 at the last probed size k."""
         c = self.scale * self.ritz.e1(tau)
-        out = self.rows[0] * c[0]
-        for r, ci in zip(self.rows[1:c.size], c[1:]):
-            out = zaxpy(r, out, a=ci)
-        return out
+        return c @ self.V[:c.size]
 
     def advance(self, v, dt) -> np.ndarray:
         """exp(-i dt H) v for dt != 0; NumericsError past MAX_HALVINGS."""

@@ -461,12 +461,13 @@ def _validate(entries: dict, source_text: str = "") -> ExperimentConfig:
 def load_config(source) -> ExperimentConfig:
     """Load a config from a path or directly from document text.
 
-    A string containing a newline or an ``=`` is treated as document text;
-    anything else is a filesystem path.
+    A string containing a newline is treated as document text (a valid
+    document has a section header and a key line); anything else is a
+    filesystem path, which may hold ``=`` as sweep points' names do.
     """
     if isinstance(source, os.PathLike):
         text = open(os.fspath(source), encoding="utf-8").read()
-    elif isinstance(source, str) and ("\n" in source or "=" in source):
+    elif isinstance(source, str) and "\n" in source:
         text = source
     else:
         try:

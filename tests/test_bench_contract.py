@@ -9,7 +9,10 @@ tests catch it here. bench/ is only read.
 
 import importlib.util
 import inspect
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -42,6 +45,20 @@ def _resolve(module: str, attr: str):
 @pytest.mark.parametrize("span,module,attr", TARGETS, ids=[f"{m}:{a}" for _, m, a in TARGETS])
 def test_span_target_resolves(span, module, attr):
     assert callable(_resolve(module, attr))
+
+
+def test_span_modules_loaded_by_package_import():
+    # Tracer.install reads sys.modules[module] without importing it, so each
+    # module SPANS names must be loaded by the import bench/child.py makes;
+    # a numpy-only propagator once left scipy.linalg out and traced runs
+    # died with KeyError.
+    code = ("import json, sys\nimport quenchsim.quenchlab\n"
+            f"print(json.dumps([m for m in {sorted({m for _, m, _ in TARGETS})!r} "
+            "if m not in sys.modules]))")
+    src = os.path.join(os.path.dirname(BENCH), "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert json.loads(out.stdout) == []
 
 
 def test_traced_argument_names_exist():

@@ -157,6 +157,16 @@ class TestLoadConfig:
         assert load_config(p).sites == 2
         assert load_config(str(p)).sites == 2
 
+    def test_path_with_equals_sign(self, tmp_path, capsys):
+        # sweep points are named stem__key=value.ext, so a config saved
+        # beside them has an '=' in its path
+        p = tmp_path / "fig8c__J=8.cfg"
+        p.write_text(MINIMAL)
+        assert load_config(str(p)).sites == 2
+        out = tmp_path / "o.csv"
+        assert main(["run", "-c", str(p), "-o", str(out)]) == 0
+        assert out.exists()
+
     def test_unknown_key_reports_line(self):
         text = MINIMAL + "\n[lattice]\nbogus = 1\n"
         with pytest.raises(ConfigError, match="unknown key"):
