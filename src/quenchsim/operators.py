@@ -40,6 +40,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .fockspace import FockBasis
 
@@ -210,6 +211,7 @@ class SparseOperator:
         self.matrix = matrix
         self.blocks = blocks
         self.hermitian = bool(hermitian)
+        self._scratch = None  # the blocks' transposed plane, made at the first out-form call
 
     @property
     def dim(self) -> int:
@@ -219,16 +221,27 @@ class SparseOperator:
     def nnz(self) -> int:
         return self.matrix.nnz + sum(b.nnz for b in self.blocks or ())
 
-    def matvec(self, vec: np.ndarray) -> np.ndarray:
-        """A new array: the operator applied to ``vec``.
+    def matvec(self, vec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The operator applied to ``vec``: a new array, or added into ``out``.
 
-        A real matrix meets a complex vector as two real products: ``@``
-        would upcast a complex copy of the whole matrix on every call.
-        Blocks act on ``X = vec.reshape(K**c, K**(L-c))`` as ``H_A @ X``
-        and ``(H_B @ X.T).T``; each is one sparse-times-block product of a
+        With ``out`` given, ``vec`` and ``out`` are ``(2, dim)`` float64
+        planes, the real and imaginary parts of a complex vector, each
+        contiguous; ``out += H @ vec`` is added in place and ``out``
+        returned, with nothing of the vector's size allocated. A real matrix
+        goes through scipy's ``csr_matvec`` kernels, which add into their
+        output; a complex one, which only tests build, takes a plain
+        complex product.
+
+        Without ``out`` a new array is returned. A real matrix meets a
+        complex vector as two real products: ``@`` would upcast a complex
+        copy of the whole matrix on every call. Blocks act on
+        ``X = vec.reshape(K**c, K**(L-c))`` as ``H_A @ X`` and
+        ``(H_B @ X.T).T``; each is one sparse-times-block product of a
         float64 view, which applies the real block to the real and the
         imaginary parts together.
         """
+        if out is not None:
+            return self._add_planes(vec, out)
         if self.matrix.dtype.kind == "c" or vec.dtype.kind != "c":
             out = self.matrix @ vec
         else:
@@ -242,6 +255,40 @@ class SparseOperator:
             y.view(np.float64)[...] += A @ x.view(np.float64)
             xt = np.ascontiguousarray(x.T)
             y += (B @ xt.view(np.float64)).view(x.dtype).T
+        return out
+
+    def _add_planes(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out += H @ x`` on (2, dim) float64 planes: ``matvec``'s out form.
+
+        Each plane goes through the kernels on its own. ``H_A`` adds
+        ``H_A @ X`` with ``X`` the plane as a ``(K**c, K**(L-c))`` array.
+        ``H_B`` adds ``(H_B @ X.T).T`` in the transposed frame: the plane's
+        partial sum moves into a ``(K**(L-c), K**c)`` scratch, the plane
+        holds ``X.T`` as the kernel's input, and the sum moves back. The
+        operator keeps that one scratch for both planes and every call, so
+        one operator must not run two out-form calls at once.
+        """
+        M = self.matrix
+        if M.dtype.kind == "c":
+            y = M @ (x[0] + 1j * x[1])
+            out[0] += y.real
+            out[1] += y.imag
+            return out
+        n = self.dim
+        for xp, yp in zip(x, out):
+            _sparsetools.csr_matvec(n, n, M.indptr, M.indices, M.data, xp, yp)
+        if self.blocks is not None:
+            A, B = self.blocks
+            a, b = A.shape[0], B.shape[0]
+            if self._scratch is None:
+                self._scratch = np.empty((b, a))
+            S = self._scratch
+            for xp, yp in zip(x, out):
+                _sparsetools.csr_matvecs(a, a, b, A.indptr, A.indices, A.data, xp, yp)
+                np.copyto(S, yp.reshape(a, b).T)
+                np.copyto(yp.reshape(b, a), xp.reshape(a, b).T)
+                _sparsetools.csr_matvecs(b, b, a, B.indptr, B.indices, B.data, yp, S.ravel())
+                np.copyto(yp.reshape(a, b), S.T)
         return out
 
     def dense(self) -> np.ndarray:
@@ -372,11 +419,18 @@ def build_hopping(basis: FockBasis, profile: CouplingProfile) -> SparseOperator:
 
 
 def _anharmonicity_diagonal(basis: FockBasis, profile: AnharmonicityProfile) -> np.ndarray:
-    """Diagonal of ``sum_j (-U_j/2) n_j (n_j - 1)``."""
+    """Diagonal of ``sum_j (-U_j/2) n_j (n_j - 1)``.
+
+    Summed one site at a time, so no (dim, L) float copy of the states is
+    made.
+    """
     if len(profile) != basis.L:
         raise ValueError(f"anharmonicity profile needs {basis.L} sites, got {len(profile)}")
-    n = basis.states.astype(np.float64)
-    return (n * (n - 1.0)) @ (-0.5 * np.asarray(profile.values))
+    diag = np.zeros(basis.dim)
+    for j, U in enumerate(profile.values):
+        n = basis.states[:, j].astype(np.float64)
+        diag += (-0.5 * U) * (n * (n - 1.0))
+    return diag
 
 
 def build_onsite_anharmonicity(

@@ -1,8 +1,9 @@
 """Time evolution of state vectors under static and driven Hamiltonians.
 
 Every exponential ``exp(-i H dt) psi`` goes through ``_Krylov``, one Lanczos
-core on numpy, whose basis is one array, with a local re-pass, a gated
-a-posteriori residual estimate and Expokit-style step control, at
+core on numpy, whose basis is one array of float64 real and imaginary
+planes that the operator adds its products into, with a local re-pass, a
+gated a-posteriori residual estimate and Expokit-style step control, at
 ``DEFAULT_TOL``, ``DEFAULT_KRYLOV_DIM`` and ``MAX_HALVINGS``. The module
 calls no BLAS but numpy's, the library of ``_finish`` and the observables.
 Sinusoidally driven Hamiltonians are integrated with fourth-order
@@ -107,16 +108,21 @@ class _Krylov:
     is below ``DEFAULT_TOL`` (or the basis is full): about one probe per
     result, trusted where ``_Ritz.certifies`` holds.
 
-    The rows live in one ``(DEFAULT_KRYLOV_DIM, n)`` array from ``np.empty``,
-    made at the first start and reused by every rebuild. Its pages are
-    touched only as rows are written, so a basis that certifies at k rows
-    holds k of them; on the full basis these rows, not operator assembly,
-    set a run's peak memory. Every BLAS call goes through numpy, the library
-    that ``_finish`` and the observables use too: with scipy's OpenBLAS in
-    the recurrence and both thread pools unpinned on two cores, the two
-    pools contended and seed-0 reversal-full took 3.6-4.0 s against
-    1.2-2.1 s on numpy alone. matvec must return a new array: the
-    recurrence updates it in place.
+    The rows live in one ``(DEFAULT_KRYLOV_DIM, 2, n)`` float64 array from
+    ``np.empty``, each the real and the imaginary plane of one Lanczos
+    vector, made at the first start and reused by every rebuild. For a
+    Hermitian H, complex Lanczos is real Lanczos on the planes, with the
+    same alpha and beta. ``matvec(x, out)`` adds H x into ``out``, both
+    ``(2, n)`` planes (``SparseOperator.matvec``'s out form), so the next
+    row is seeded with ``-beta V[k-1]`` and the product lands in it: the
+    residual is that row, and only the last row's residual is a transient.
+    Pages are touched only as rows are written, so a basis that certifies
+    at k rows holds k of them; on the full basis these rows, not operator
+    assembly, set a run's peak memory. Every BLAS call goes through numpy,
+    the library that ``_finish`` and the observables use too: with scipy's
+    OpenBLAS in the recurrence and both thread pools unpinned on two cores,
+    the two pools contended and seed-0 reversal-full took 3.6-4.0 s
+    against 1.2-2.1 s on numpy alone.
     """
 
     def __init__(self, matvec):
@@ -129,10 +135,10 @@ class _Krylov:
     def start(self, v):
         """Begin a new basis at v, whose offset is 0."""
         self.scale = math.sqrt(np.vdot(v, v).real)
-        self.w = None  # a rebuild's first matvec must not hold the last basis's residual
         if self.V is None:
-            self.V = np.empty((DEFAULT_KRYLOV_DIM, v.size), dtype=np.complex128)
-        np.divide(v, self.scale, out=self.V[0])
+            self.V = np.empty((DEFAULT_KRYLOV_DIM, 2, v.size))
+        np.divide(v.real, self.scale, out=self.V[0, 0])
+        np.divide(v.imag, self.scale, out=self.V[0, 1])
         self.k = 0
         self.at = 0.0  # offset of the emitted state
         self.ritz = None
@@ -141,29 +147,35 @@ class _Krylov:
     def _extend(self):
         k = self.k
         V = self.V
+        x = V[k]
+        # the residual goes into the next row; past the last one it is a transient
+        w = V[k + 1] if k + 1 < DEFAULT_KRYLOV_DIM else np.empty_like(x)
         if k:
             self.beta[k - 1] = self.b
-            # scaling the float view costs a tenth of a complex division
-            np.multiply(self.w.view(np.float64), 1.0 / self.b, out=V[k].view(np.float64))
-            self.w = None  # not alive across the matvec below: one n-vector less at the peak
-        x = V[k]
-        w = self.matvec(x)
-        rows = V[max(k - 1, 0):k + 1]
-        a = np.vdot(x, w).real
+            x *= 1.0 / self.b  # the last step's residual, in its row
+            np.multiply(V[k - 1], -self.b, out=w)
+        else:
+            w.fill(0.0)
+        self.matvec(x, w)
+        # w = H x - b V[k-1]; taking off a x completes the three-term step.
+        # Then one re-pass against the two vectors the recurrence used, not
+        # the whole basis: for exp(-i h H) psi the three-term recurrence stays
+        # accurate (Druskin, Greenbaum & Knizhnerman 1998). Full 30-vector
+        # bases on dimensions 50 and 55 at 50-500 ns, where Ritz values
+        # converge and |V^H V - I| reaches 0.4, stay within 1.3e-11 of dense
+        # propagation with norm drift below 3e-15 (tests/test_propagator.py).
+        # Each plane is updated on its own, so no temporary is larger than
+        # one plane.
+        wf = w.reshape(-1)
+        a = x.reshape(-1) @ wf
         self.alpha[k] = a
-        # The three-term step w -= b V[k-1] + a V[k] is one real product of
-        # the float views, with at most one n-vector alive beside w. Then one
-        # re-pass against the two vectors the recurrence used, not the whole
-        # basis: for exp(-i h H) psi the three-term recurrence stays accurate
-        # (Druskin, Greenbaum & Knizhnerman 1998). Full 30-vector bases on
-        # dimensions 50 and 55 at 50-500 ns, where Ritz values converge and
-        # |V^H V - I| reaches 0.4, stay within 1.3e-11 of dense propagation
-        # with norm drift below 3e-15 (tests/test_propagator.py).
-        wf = w.view(np.float64)
-        wf -= np.array([self.b, a] if k else [a]) @ rows.view(np.float64)
-        w -= np.array([np.vdot(r, w) for r in rows]) @ rows
-        self.w = w
-        self.b = math.sqrt(np.vdot(w, w).real)
+        for xp, wp in zip(x, w):
+            wp -= a * xp
+        rows = V[max(k - 1, 0):k + 1]
+        c = rows.reshape(rows.shape[0], -1) @ wf
+        for p, wp in enumerate(w):
+            wp -= c @ rows[:, p]
+        self.b = math.sqrt(wf @ wf)
         self.k = k + 1
         if self.b >= 1e-14:
             self.log_pred += math.log(self.b) - math.log(max(k, 1))
@@ -191,9 +203,25 @@ class _Krylov:
             self._extend()
 
     def emit(self, tau) -> np.ndarray:
-        """scale * V[:k]^T exp(-i tau T) e_1 at the last probed size k."""
+        """scale * V[:k]^T exp(-i tau T) e_1 at the last probed size k.
+
+        The real and imaginary parts are one real product of the planes
+        with a (2k, 2) matrix, written straight into the complex result's
+        (n, 2) float view, 4096 states at a time: at n = 34,001 and k = 30
+        that took 0.76 ms, where one product over all n spills the cache
+        (2.2 ms) and a complex ``zgemv`` over complex rows takes 0.83 ms.
+        """
         c = self.scale * self.ritz.e1(tau)
-        return c @ self.V[:c.size]
+        k = c.size
+        # row (j, plane): c_j on the real plane, i c_j on the imaginary one,
+        # as (real, imaginary) columns
+        coef = (c[:, None] * np.array([1.0, 1j])).view(np.float64).reshape(2 * k, 2)
+        rows = self.V[:k].reshape(2 * k, -1)
+        out = np.empty(rows.shape[1], dtype=np.complex128)
+        pairs = out.view(np.float64).reshape(-1, 2)
+        for lo in range(0, out.size, 4096):
+            np.matmul(rows[:, lo:lo + 4096].T, coef, out=pairs[lo:lo + 4096])
+        return out
 
     def advance(self, v, dt) -> np.ndarray:
         """exp(-i dt H) v for dt != 0; NumericsError past MAX_HALVINGS."""
@@ -237,10 +265,12 @@ class _Krylov:
 
 def _finish(basis: FockBasis, raw: np.ndarray) -> StateVector:
     """The normalized state of raw, a fresh result of ``_Krylov.advance``."""
-    nrm = float(np.linalg.norm(raw))
+    nrm = math.sqrt(np.vdot(raw, raw).real)
     if not abs(nrm - 1.0) <= 1e-8:  # a NaN norm fails too
         raise NumericsError(f"propagated state norm drifted to {nrm:.3e}")
-    return StateVector._adopt(basis, np.divide(raw, nrm, out=raw))
+    flat = raw.view(np.float64)  # a real divisor: bit for bit the complex division
+    np.divide(flat, nrm, out=flat)
+    return StateVector._adopt(basis, raw)
 
 
 def evolve_static(H: SparseOperator, psi: StateVector, dt_ns: float, _krylov=None) -> StateVector:
@@ -292,7 +322,8 @@ def evolve_driven(
     the cosine sampled at the two Gauss nodes of the substep and d the
     drive's weight ``sum_j eps_j n_j`` of each basis state. One basis object
     serves every exponential of the call: its matvec reads the current
-    ``gamma d``. Non-finite times raise ValueError, and more than
+    ``gamma d`` and adds ``gamma d x`` into the row plane by plane, through
+    one plane-sized buffer. Non-finite times raise ValueError, and more than
     ``MAX_SUBSTEPS`` substeps raise ResourceLimitError, before any step.
     """
     if not H_static.hermitian:
@@ -318,7 +349,14 @@ def evolve_driven(
     nu = drive.nu
     h = span / nsub
     gd = np.empty_like(d)
-    krylov = _Krylov(lambda v: H_static.matvec(v) + gd * v)
+    scratch = np.empty_like(d)
+
+    def matvec(x, out):
+        H_static.matvec(x, out)
+        for xp, yp in zip(x, out):
+            yp += np.multiply(gd, xp, out=scratch)
+
+    krylov = _Krylov(matvec)
     raw = psi.amplitudes
     for k in range(nsub):
         t_k = t0_ns + k * h

@@ -93,13 +93,16 @@ def _count_propagation(monkeypatch, entry, protocol, psi0):
     The tracer times propagation only through evolve_static/evolve_driven,
     one call per sample interval, and bench/selfcheck.py asserts that the
     layer spans cover the run: a matvec outside them would escape both.
+    Its ``operators.matvec.calls`` and ``gb_computed`` price one call as one
+    product of the operator, so each Krylov row must make exactly one call.
     """
     from quenchsim import propagator
     from quenchsim.operators import SparseOperator
 
-    counts = {"evolve": 0, "matvec": 0, "stray": 0}
+    counts = {"evolve": 0, "matvec": 0, "stray": 0, "rows": 0}
     inside = [False]
     evolve, matvec = getattr(propagator, entry), SparseOperator.matvec
+    extend = propagator._Krylov._extend
 
     def counted_evolve(*args, **kwargs):
         counts["evolve"] += 1
@@ -109,16 +112,22 @@ def _count_propagation(monkeypatch, entry, protocol, psi0):
         finally:
             inside[0] = False
 
-    def counted_matvec(self, v):
+    def counted_matvec(self, vec, out=None):
         counts["matvec"] += 1
         counts["stray"] += not inside[0]
-        return matvec(self, v)
+        return matvec(self, vec, out)
+
+    def counted_extend(self):
+        counts["rows"] += 1
+        return extend(self)
 
     monkeypatch.setattr(propagator, entry, counted_evolve)
     monkeypatch.setattr(SparseOperator, "matvec", counted_matvec)
+    monkeypatch.setattr(propagator._Krylov, "_extend", counted_extend)
     pairs = list(propagator.run_protocol(protocol, psi0))
     assert counts["evolve"] == len(pairs) - 1
     assert counts["matvec"] > 0 and counts["stray"] == 0
+    assert counts["matvec"] == counts["rows"]
     return counts["evolve"]
 
 

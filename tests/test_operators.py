@@ -416,6 +416,100 @@ class TestOnePassAssembly:
         assert int(dim) == 3**10
         assert float(growth_mb) <= 12.0
 
+    def test_anharmonicity_diagonal_memory(self):
+        # summed one site at a time, the diagonal of the built L=10, K=3
+        # basis grows peak memory by at most 1 MB: two (dim, L) float
+        # copies of the states grew it by about 8.4 MB
+        code = textwrap.dedent("""
+            from quenchsim import AnharmonicityProfile, build_basis
+            from quenchsim.operators import _anharmonicity_diagonal
+            def peak_kb():
+                with open("/proc/self/status") as status:
+                    return next(int(line.split()[1]) for line in status
+                                if line.startswith("VmHWM:"))
+            basis = build_basis(10, 3)
+            before = peak_kb()
+            diag = _anharmonicity_diagonal(basis, AnharmonicityProfile.from_mhz([240.0] * 10))
+            after = peak_kb()
+            print(diag.size, (after - before) / 1024)
+        """)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=SRC))
+        dim, growth_mb = out.stdout.split()
+        assert int(dim) == 3**10
+        assert float(growth_mb) <= 1.0
+
+
+class TestPlanarMatvec:
+    """``matvec(x, out)`` adds H x into (2, dim) float64 planes in place."""
+
+    KINDS = ["full", "range", "sector"]
+
+    @staticmethod
+    def _case(L, kind, K=3):
+        sector = {"full": None, "sector": L // 2, "range": range(1, L)}[kind]
+        basis = build_basis(L, K, sector=sector)
+        tp = TransverseProfile.from_mhz([5.0 + 0.5 * j for j in range(L)]) if kind == "full" \
+            else None
+        seg = Segment(1.0, CouplingProfile.from_mhz([10.8 + 0.3 * j for j in range(L - 1)]),
+                      AnharmonicityProfile.from_mhz([212.0 + 4.0 * j for j in range(L)]),
+                      tp, sign=-1)
+        return basis, seg.static_hamiltonian(basis)
+
+    @staticmethod
+    def _planes(v):
+        return np.stack([v.real, v.imag])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("L", range(2, 7))
+    def test_zero_out_equals_new_array_form(self, L, kind):
+        basis, H = self._case(L, kind)
+        assert (H.blocks is not None) == (kind == "full")
+        v = random_state(basis, L).amplitudes
+        ref = self._planes(H.matvec(v))
+        out = np.zeros((2, basis.dim))
+        assert H.matvec(self._planes(v), out) is out
+        if H.blocks is None:
+            assert np.array_equal(out, ref)
+        else:
+            # the blocks add their products into the planes in another order
+            assert np.abs(out - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_adds_onto_nonzero_out(self, kind):
+        basis, H = self._case(5, kind)
+        v = random_state(basis, 7).amplitudes
+        start = self._planes(random_state(basis, 8).amplitudes)
+        out = start.copy()
+        H.matvec(self._planes(v), out)
+        np.testing.assert_allclose(out, start + self._planes(H.matvec(v)), rtol=0, atol=1e-14)
+        assert not np.allclose(out, self._planes(H.matvec(v)), rtol=0, atol=1e-3)
+
+    def test_complex_matrix_fallback(self):
+        # A complex matrix takes a plain complex product. The real kernels,
+        # which add into their output, must match that fallback on the same
+        # entries: this pins scipy's csr_matvec/csr_matvecs accumulate
+        # contract against an upgrade.
+        basis = build_basis(4, 3, sector=2)
+        rng = np.random.default_rng(3)
+        m = rng.normal(size=(basis.dim,) * 2) + 1j * rng.normal(size=(basis.dim,) * 2)
+        m[rng.random(m.shape) < 0.7] = 0.0
+        C = SparseOperator(basis, m + m.conj().T, hermitian=True)
+        v = random_state(basis, 4).amplitudes
+        out = self._planes(random_state(basis, 5).amplitudes)
+        expected = out + self._planes(C.matrix @ v)
+        C.matvec(self._planes(v), out)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-13)
+        for kind in self.KINDS:
+            _, H = self._case(4, kind)
+            v = random_state(H.basis, 6).amplitudes
+            start = self._planes(random_state(H.basis, 9).amplitudes)
+            C = SparseOperator(H.basis, H.dense().astype(np.complex128), hermitian=True)
+            real, fallback = start.copy(), start.copy()
+            H.matvec(self._planes(v), real)
+            C.matvec(self._planes(v), fallback)
+            np.testing.assert_allclose(real, fallback, rtol=0, atol=1e-14)
+
 
 class TestHalfChainBlocks:
     """A full-basis Hamiltonian is stored as H_A (x) 1 + 1 (x) H_B plus a CSR."""

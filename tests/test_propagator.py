@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -179,10 +180,10 @@ class TestEvolveStatic:
         H, psi = self._substep_case()
         count = 0
 
-        def matvec(v):
+        def matvec(x, out):
             nonlocal count
             count += 1
-            return H.matvec(v)
+            return H.matvec(x, out)
 
         monkeypatch.setattr(propagator, "DEFAULT_KRYLOV_DIM", 10)
         propagator._Krylov(matvec).advance(psi.amplitudes, 20.0)
@@ -236,7 +237,7 @@ class TestEvolveStatic:
         krylov.start(parse_product_state("0001001000", basis).amplitudes)
         krylov.grow(500.0)
         k = krylov.k
-        V = krylov.V[:k]
+        V = krylov.V[:k, 0] + 1j * krylov.V[:k, 1]
         assert k == 30
         assert np.abs(V.conj() @ V.T - np.eye(30)).max() > 0.1
 
@@ -252,9 +253,9 @@ class TestEvolveStatic:
                 counts["ritz"] += 1
                 super().__init__(*args)
 
-        def matvec(v):
+        def matvec(x, out):
             counts["matvec"] += 1
-            return H.matvec(v)
+            return H.matvec(x, out)
 
         monkeypatch.setattr(propagator, "_Ritz", CountedRitz)
         propagator._Krylov(matvec).advance(psi.amplitudes, 0.5)
@@ -264,41 +265,49 @@ class TestEvolveStatic:
         assert counts["matvec"] <= 11
 
     def test_previous_residual_dropped_before_matvec(self):
-        # once scaled into its row, the last residual is not held across the
-        # next matvec, which allocates that step's new residual
+        # each step's residual is the next row, into which the matvec adds:
+        # no earlier residual is held beside the basis across a matvec
         from quenchsim.propagator import _Krylov
 
         basis, H = self._k3_chain(10, 2)
         held = []
 
-        def matvec(v):
-            held.append(krylov.__dict__.get("w"))
-            return H.matvec(v)
+        def matvec(x, out):
+            held.append([name for name, value in vars(krylov).items()
+                         if isinstance(value, np.ndarray) and value.size >= basis.dim
+                         and value is not krylov.V])
+            assert np.shares_memory(out, krylov.V)
+            return H.matvec(x, out)
 
         krylov = _Krylov(matvec)
         krylov.start(parse_product_state("0001001000", basis).amplitudes)
         for _ in range(4):
             krylov._extend()
         assert len(held) == 4
-        assert all(w is None for w in held)
+        assert all(not names for names in held)
 
     def test_rebuild_drops_previous_residual(self):
-        # a full basis that is rebuilt does not hold its last residual
-        # through the new basis's first matvec
+        # a full basis that is rebuilt does not hold its last residual, the
+        # one transient past the last row, through the new basis's first
+        # matvec (nor through any later one)
         from quenchsim.propagator import _Krylov
 
         basis, H = self._k3_chain(10, 2)
-        held = []
+        held, transients = [], []
 
-        def matvec(v):
+        def matvec(x, out):
             if krylov.k == 0:
-                held.append(krylov.__dict__.get("w"))
-            return H.matvec(v)
+                held.append([ref for ref in transients if ref() is not None])
+            assert all(ref() is None for ref in transients)
+            if not np.shares_memory(out, krylov.V):
+                transients.append(weakref.ref(out))
+            return H.matvec(x, out)
 
         krylov = _Krylov(matvec)
         krylov.advance(parse_product_state("0001001000", basis).amplitudes, 500.0)
         assert len(held) > 1  # rebuilt at least once
-        assert all(w is None for w in held)
+        assert transients  # each full basis made its last residual apart from the rows
+        assert all(not alive for alive in held)
 
 
 class TestLanczosCore:
@@ -348,6 +357,33 @@ class TestLanczosCore:
         dim, growth_vectors = out.stdout.split()
         assert int(dim) == 3**10
         assert float(growth_vectors) <= 12.0
+
+    @pytest.mark.parametrize("sector", [None, range(0, 11)], ids=["full-field", "range"])
+    def test_extend_allocates_no_state_vector(self, sector):
+        # A Krylov row is the product added into the next row: one _extend
+        # holds at most one plane (n float64) of temporaries at a time and
+        # never a complex n-vector. The allocating matvec made about five
+        # n-vectors per call, and the residual was a sixth.
+        from quenchsim.propagator import _Krylov
+
+        L = 10
+        field = TransverseProfile.from_mhz([16.0] * L) if sector is None else None
+        seg = Segment(1.0, CouplingProfile.from_mhz([16.0] * (L - 1)),
+                      AnharmonicityProfile.from_mhz([240.0] * L), field)
+        basis = build_basis(L, 3, sector=sector)
+        H = seg.static_hamiltonian(basis)
+        krylov = _Krylov(H.matvec)
+        krylov.start(parse_product_state("0101010101", basis).amplitudes)
+        krylov._extend()  # the first out-form call makes the operator's block scratch
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            krylov._extend()
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert basis.dim in (3**10, 34001)
+        assert peak <= 8 * basis.dim + 65536
 
     def test_imports_nothing_from_scipy_linalg(self):
         # The recurrence, emit and probes run on numpy's BLAS, the library
@@ -851,9 +887,9 @@ class TestSampledSegment:
             starts.append(len(drift))
             start(self, v)
 
-        def counted_matvec(self, v):
+        def counted_matvec(self, vec, out=None):
             matvecs[0] += 1
-            return matvec(self, v)
+            return matvec(self, vec, out)
 
         monkeypatch.setattr(propagator, "_finish", recording_finish)
         monkeypatch.setattr(propagator._Krylov, "start", recording_start)
