@@ -31,7 +31,7 @@ from .fockspace import (
     build_basis,
     check_codes_fit,
 )
-from .operators import AnharmonicityProfile, CouplingProfile, _hamiltonian
+from .operators import AnharmonicityProfile, CouplingProfile, _hamiltonian, _pair_weights
 
 __all__ = [
     "ResourceLimitError",
@@ -206,13 +206,9 @@ def pauli_expectation(psi: StateVector, site: int, axis: str) -> float:
 def _anharmonicity_weights(basis: FockBasis) -> np.ndarray:
     """Read-only ``sum_j n_j (n_j - 1)`` of every basis state.
 
-    Summed one site at a time, so no (dim, L) float copy of the states is
-    made; the terms are integers, so the sum is exact in any order.
+    The terms are integers, so the sum is exact in any order.
     """
-    w = np.zeros(basis.dim)
-    for j in range(basis.L):
-        n = basis.states[:, j].astype(np.float64)
-        w += n * (n - 1.0)
+    w = _pair_weights(basis, [1.0] * basis.L)
     w.setflags(write=False)
     return w
 

@@ -14,9 +14,9 @@ so a Hamiltonian is built without per-term matrices or summed copies.
 
 Every term has real matrix elements in the Fock basis, so every operator
 built here is real symmetric and stored as float64 CSR. ``SparseOperator``
-applies a real matrix to a complex state as two real products, one for the
-real and one for the imaginary part, which are bit for bit the complex
-product at half the stored bytes.
+has one product, which applies a real matrix to a complex state as two real
+products, one on its real and one on its imaginary plane: bit for bit the
+complex product, at half the stored bytes.
 
 ``_hamiltonian`` decides how a segment's Hamiltonian is stored. The full
 basis of L >= 2 sites is a tensor product, so at the half-chain cut
@@ -211,7 +211,7 @@ class SparseOperator:
         self.matrix = matrix
         self.blocks = blocks
         self.hermitian = bool(hermitian)
-        self._scratch = None  # the blocks' transposed plane, made at the first out-form call
+        self._scratch = None  # the blocks' transposed plane, made at the first product
 
     @property
     def dim(self) -> int:
@@ -222,74 +222,55 @@ class SparseOperator:
         return self.matrix.nnz + sum(b.nnz for b in self.blocks or ())
 
     def matvec(self, vec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The operator applied to ``vec``: a new array, or added into ``out``.
+        """``out += H @ vec`` on planes, or ``H @ vec`` as a new complex vector.
 
         With ``out`` given, ``vec`` and ``out`` are ``(2, dim)`` float64
         planes, the real and imaginary parts of a complex vector, each
-        contiguous; ``out += H @ vec`` is added in place and ``out``
-        returned, with nothing of the vector's size allocated. A real matrix
-        goes through scipy's ``csr_matvec`` kernels, which add into their
-        output; a complex one, which only tests build, takes a plain
-        complex product.
+        contiguous; the product is added into ``out`` in place and ``out``
+        returned, with nothing of the vector's size allocated. Without
+        ``out``, ``vec`` is copied into planes, the product is added into
+        zeroed ones, and a new complex128 vector is returned.
 
-        Without ``out`` a new array is returned. A real matrix meets a
-        complex vector as two real products: ``@`` would upcast a complex
-        copy of the whole matrix on every call. Blocks act on
-        ``X = vec.reshape(K**c, K**(L-c))`` as ``H_A @ X`` and
-        ``(H_B @ X.T).T``; each is one sparse-times-block product of a
-        float64 view, which applies the real block to the real and the
-        imaginary parts together.
+        A real matrix goes through scipy's ``csr_matvec`` kernels, which add
+        into their output, one plane at a time; a complex one, which only
+        tests build, takes a plain complex product. ``H_A`` adds ``H_A @ X``
+        with ``X`` the plane as a ``(K**c, K**(L-c))`` array. ``H_B`` adds
+        ``(H_B @ X.T).T`` in the transposed frame: the plane's partial sum
+        moves into a ``(K**(L-c), K**c)`` scratch, the plane holds ``X.T``
+        as the kernel's input, and the sum moves back. The operator keeps
+        that one scratch for both planes and every call, so one operator
+        must not run two products at once.
         """
-        if out is not None:
-            return self._add_planes(vec, out)
-        if self.matrix.dtype.kind == "c" or vec.dtype.kind != "c":
-            out = self.matrix @ vec
-        else:
-            out = np.empty_like(vec)
-            out.real = self.matrix @ vec.real
-            out.imag = self.matrix @ vec.imag
-        if self.blocks is not None:
-            A, B = self.blocks
-            x = np.ascontiguousarray(vec, dtype=out.dtype).reshape(A.shape[0], B.shape[0])
-            y = out.reshape(x.shape)
-            y.view(np.float64)[...] += A @ x.view(np.float64)
-            xt = np.ascontiguousarray(x.T)
-            y += (B @ xt.view(np.float64)).view(x.dtype).T
-        return out
-
-    def _add_planes(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``out += H @ x`` on (2, dim) float64 planes: ``matvec``'s out form.
-
-        Each plane goes through the kernels on its own. ``H_A`` adds
-        ``H_A @ X`` with ``X`` the plane as a ``(K**c, K**(L-c))`` array.
-        ``H_B`` adds ``(H_B @ X.T).T`` in the transposed frame: the plane's
-        partial sum moves into a ``(K**(L-c), K**c)`` scratch, the plane
-        holds ``X.T`` as the kernel's input, and the sum moves back. The
-        operator keeps that one scratch for both planes and every call, so
-        one operator must not run two out-form calls at once.
-        """
+        planes = out
+        if out is None:
+            vec = np.array([vec.real, vec.imag], dtype=np.float64)
+            planes = np.zeros_like(vec)
         M = self.matrix
         if M.dtype.kind == "c":
-            y = M @ (x[0] + 1j * x[1])
-            out[0] += y.real
-            out[1] += y.imag
-            return out
-        n = self.dim
-        for xp, yp in zip(x, out):
-            _sparsetools.csr_matvec(n, n, M.indptr, M.indices, M.data, xp, yp)
+            y = M @ (vec[0] + 1j * vec[1])
+            planes[0] += y.real
+            planes[1] += y.imag
+        else:
+            n = self.dim
+            for xp, yp in zip(vec, planes):
+                _sparsetools.csr_matvec(n, n, M.indptr, M.indices, M.data, xp, yp)
         if self.blocks is not None:
             A, B = self.blocks
             a, b = A.shape[0], B.shape[0]
             if self._scratch is None:
                 self._scratch = np.empty((b, a))
             S = self._scratch
-            for xp, yp in zip(x, out):
+            for xp, yp in zip(vec, planes):
                 _sparsetools.csr_matvecs(a, a, b, A.indptr, A.indices, A.data, xp, yp)
                 np.copyto(S, yp.reshape(a, b).T)
                 np.copyto(yp.reshape(b, a), xp.reshape(a, b).T)
                 _sparsetools.csr_matvecs(b, b, a, B.indptr, B.indices, B.data, yp, S.ravel())
                 np.copyto(yp.reshape(a, b), S.T)
-        return out
+        if out is not None:
+            return out
+        y = np.empty(self.dim, dtype=np.complex128)
+        y.real, y.imag = planes
+        return y
 
     def dense(self) -> np.ndarray:
         if self.blocks is None:
@@ -418,19 +399,24 @@ def build_hopping(basis: FockBasis, profile: CouplingProfile) -> SparseOperator:
     return _assemble(basis, None, _hopping_pairs(basis, profile))
 
 
-def _anharmonicity_diagonal(basis: FockBasis, profile: AnharmonicityProfile) -> np.ndarray:
-    """Diagonal of ``sum_j (-U_j/2) n_j (n_j - 1)``.
+def _pair_weights(basis: FockBasis, weights) -> np.ndarray:
+    """``sum_j w_j n_j (n_j - 1)`` of every basis state, one weight per site.
 
     Summed one site at a time, so no (dim, L) float copy of the states is
     made.
     """
+    out = np.zeros(basis.dim)
+    for j, w in enumerate(weights):
+        n = basis.states[:, j].astype(np.float64)
+        out += w * (n * (n - 1.0))
+    return out
+
+
+def _anharmonicity_diagonal(basis: FockBasis, profile: AnharmonicityProfile) -> np.ndarray:
+    """Diagonal of ``sum_j (-U_j/2) n_j (n_j - 1)``."""
     if len(profile) != basis.L:
         raise ValueError(f"anharmonicity profile needs {basis.L} sites, got {len(profile)}")
-    diag = np.zeros(basis.dim)
-    for j, U in enumerate(profile.values):
-        n = basis.states[:, j].astype(np.float64)
-        diag += (-0.5 * U) * (n * (n - 1.0))
-    return diag
+    return _pair_weights(basis, [-0.5 * U for U in profile.values])
 
 
 def build_onsite_anharmonicity(

@@ -463,15 +463,15 @@ def load_config(source) -> ExperimentConfig:
 
     A string containing a newline is treated as document text (a valid
     document has a section header and a key line); anything else is a
-    filesystem path, which may hold ``=`` as sweep points' names do.
+    filesystem path, which may hold ``=`` as sweep points' names do; a path
+    that cannot be read raises ConfigError.
     """
-    if isinstance(source, os.PathLike):
-        text = open(os.fspath(source), encoding="utf-8").read()
-    elif isinstance(source, str) and "\n" in source:
+    if isinstance(source, str) and "\n" in source:
         text = source
     else:
         try:
-            text = open(source, encoding="utf-8").read()
+            with open(os.fspath(source), encoding="utf-8") as fh:
+                text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
     return _validate(_parse_document(text), source_text=text)

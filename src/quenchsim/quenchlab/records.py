@@ -10,8 +10,6 @@ from __future__ import annotations
 import json
 import os
 
-import numpy as np
-
 from ..analysis import ObservableRecord, SpectrumReport
 from ..operators import mhz_from_omega
 
@@ -38,9 +36,7 @@ def _row_values(rec: ObservableRecord, sites: int) -> list:
 
     p1 = level_col(1)
     p2 = level_col(2)
-    vals = [rec.time_ns, rec.fidelity]
-    vals += [None if rec.populations is None else float(np.sum(p1)),
-             None if rec.populations is None else float(np.sum(p2))]
+    vals = [rec.time_ns, rec.fidelity, rec.level_total(1), rec.level_total(2)]
     vals += p1 + p2
     vals += [rec.entropy, rec.anharmonicity]
     vals += list(rec.pauli_x) if rec.pauli_x is not None else [None] * sites

@@ -1,8 +1,9 @@
 """Every module-level private name in the package has a reader.
 
 A private name (``_x``, not a dunder) defined at the top level of a module
-under ``src/quenchsim`` must be referenced somewhere in ``src/`` apart from
-its own definition: by name, as an attribute, or in an import.
+under ``src/quenchsim``, or as a method of a top-level class, must be
+referenced somewhere in ``src/`` apart from its own definition: by name, as
+an attribute, or in an import.
 """
 
 import ast
@@ -17,8 +18,13 @@ def _private(name: str) -> bool:
 
 
 def _definitions(tree: ast.Module):
-    """(name, line) of each private name bound at the top level of a module."""
+    """(name, line) of each private name bound at the top level of a module,
+    and of each private method of a top-level class."""
     for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from ((m.name, m.lineno) for m in node.body
+                        if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and _private(m.name))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             targets = [node.name]
         elif isinstance(node, ast.Assign):

@@ -460,13 +460,25 @@ class TestPlanarMatvec:
     def _planes(v):
         return np.stack([v.real, v.imag])
 
+    @staticmethod
+    def _reference(H, x):
+        """``H @ x`` on each plane from scipy's own products, not from matvec:
+        ``M @ x`` plus, on the full basis, ``A @ X + (B @ X.T).T``."""
+        ref = np.stack([H.matrix @ xp for xp in x])
+        if H.blocks is not None:
+            A, B = H.blocks
+            for xp, rp in zip(x, ref):
+                X = xp.reshape(A.shape[0], B.shape[0])
+                rp += (A @ X + (B @ X.T).T).ravel()
+        return ref
+
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("L", range(2, 7))
     def test_zero_out_equals_new_array_form(self, L, kind):
         basis, H = self._case(L, kind)
         assert (H.blocks is not None) == (kind == "full")
         v = random_state(basis, L).amplitudes
-        ref = self._planes(H.matvec(v))
+        ref = self._reference(H, self._planes(v))
         out = np.zeros((2, basis.dim))
         assert H.matvec(self._planes(v), out) is out
         if H.blocks is None:
@@ -474,6 +486,9 @@ class TestPlanarMatvec:
         else:
             # the blocks add their products into the planes in another order
             assert np.abs(out - ref).max() <= 1e-15 * np.abs(ref).max()
+        new = H.matvec(v)
+        assert new.dtype == np.complex128
+        assert np.array_equal(self._planes(new), out)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_adds_onto_nonzero_out(self, kind):
@@ -482,8 +497,9 @@ class TestPlanarMatvec:
         start = self._planes(random_state(basis, 8).amplitudes)
         out = start.copy()
         H.matvec(self._planes(v), out)
-        np.testing.assert_allclose(out, start + self._planes(H.matvec(v)), rtol=0, atol=1e-14)
-        assert not np.allclose(out, self._planes(H.matvec(v)), rtol=0, atol=1e-3)
+        ref = self._reference(H, self._planes(v))
+        np.testing.assert_allclose(out, start + ref, rtol=0, atol=1e-14)
+        assert not np.allclose(out, ref, rtol=0, atol=1e-3)
 
     def test_complex_matrix_fallback(self):
         # A complex matrix takes a plain complex product. The real kernels,
@@ -509,6 +525,21 @@ class TestPlanarMatvec:
             H.matvec(self._planes(v), real)
             C.matvec(self._planes(v), fallback)
             np.testing.assert_allclose(real, fallback, rtol=0, atol=1e-14)
+
+    def test_complex_matrix_keeps_blocks(self):
+        # a complex operator added to a split Hamiltonian carries its blocks,
+        # and both forms must apply them after the complex product
+        basis, H = self._case(4, "full")
+        rng = np.random.default_rng(1)
+        m = 1j * rng.normal(size=(basis.dim,) * 2)
+        C = SparseOperator(basis, m + m.conj().T, hermitian=True) + H
+        assert C.matrix.dtype == np.complex128 and C.blocks is not None
+        v = random_state(basis, 2).amplitudes
+        ref = (m + m.conj().T + H.dense()) @ v
+        out = np.zeros((2, basis.dim))
+        C.matvec(self._planes(v), out)
+        np.testing.assert_allclose(out, self._planes(ref), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(C.matvec(v), ref, rtol=0, atol=1e-12)
 
 
 class TestHalfChainBlocks:

@@ -3,6 +3,7 @@ import contextlib
 import json
 import math
 import os
+import pathlib
 import resource
 import time
 
@@ -138,6 +139,7 @@ REJECTED_CASES = [
      "particles", "outside"),
     ("no_initial_state", MINIMAL.replace("initial = 01\n", ""), "initial", "missing initial"),
     ("unreadable_path", os.path.dirname(os.path.abspath(__file__)), None, "cannot read"),
+    ("unreadable_pathlike", pathlib.Path(__file__).resolve().parent, None, "cannot read"),
 ]
 
 
