@@ -55,6 +55,7 @@ MAX_HALVINGS = 48  # sub-steps below |dt| / 2**MAX_HALVINGS raise NumericsError
 SUBSTEPS_PER_PERIOD = 64
 MAX_SAMPLES = 1_000_000
 MAX_SUBSTEPS = 1_000_000
+MAX_PHASE_RAD = 1e8  # duration times 2 ||H||: every preset point is below 6e4
 
 
 class NumericsError(RuntimeError):
@@ -298,6 +299,11 @@ def evolve_static(H: SparseOperator, psi: StateVector, dt_ns: float, _krylov=Non
     return out
 
 
+def _substeps(span, dt_sub_ns):
+    """CF4 substeps of at most dt_sub_ns over a span > 0, or over each of an array, as floats."""
+    return np.maximum(1.0, np.ceil(np.divide(span, dt_sub_ns) - 1e-12))
+
+
 # Fourth-order commutator-free coefficients (two Gauss nodes per substep).
 _SQRT3 = math.sqrt(3.0)
 _CF4_LO = (3.0 - 2.0 * _SQRT3) / 12.0
@@ -341,9 +347,9 @@ def evolve_driven(
     span = float(t1_ns - t0_ns)
     if span == 0.0:
         return psi.copy()
-    nsub = max(1, math.ceil(span / dt_sub_ns - 1e-12))
+    nsub = _substeps(span, dt_sub_ns)
     if nsub > MAX_SUBSTEPS:
-        raise ResourceLimitError(f"{span:g} ns takes {nsub} substeps of {dt_sub_ns:g} ns, "
+        raise ResourceLimitError(f"{span:g} ns takes {nsub:.0f} substeps of {dt_sub_ns:g} ns, "
                                  f"above the cap of {MAX_SUBSTEPS}")
     d = psi.basis.states @ np.asarray(drive.eps)
     nu = drive.nu
@@ -358,7 +364,7 @@ def evolve_driven(
 
     krylov = _Krylov(matvec)
     raw = psi.amplitudes
-    for k in range(nsub):
+    for k in range(int(nsub)):
         t_k = t0_ns + k * h
         c1 = math.cos(nu * (t_k + (0.5 - _SQRT3 / 6.0) * h))
         c2 = math.cos(nu * (t_k + (0.5 + _SQRT3 / 6.0) * h))
@@ -432,9 +438,10 @@ def reverse_of(segment: Segment, drive_override: DriveSpec | None = None) -> Seg
 class Protocol:
     """Ordered evolution segments plus a sample step.
 
-    Samples fall at every multiple of ``sample_dt_ns`` (None: none) and at
-    every segment boundary; stroboscopic sampling is a step of one drive
-    period. ``run_protocol`` yields one state per entry of
+    Samples fall at every multiple of ``sample_dt_ns`` (None: none) up to
+    the total duration, and at every segment boundary; a sample within 1e-9
+    ns of the one before it is dropped. Stroboscopic sampling is a step of
+    one drive period. ``run_protocol`` yields one state per entry of
     ``sample_times()``. A schedule of more than ``MAX_SAMPLES`` samples
     raises ResourceLimitError before any sample time is made.
     """
@@ -447,19 +454,9 @@ class Protocol:
         if self.sample_dt_ns is not None and not self.sample_dt_ns > 0:
             raise ValueError("sampling step must be positive")
 
-    @property
-    def total_ns(self) -> float:
-        return float(sum(seg.duration_ns for seg in self.segments))
-
-    def boundaries_ns(self) -> list:
-        out = [0.0]
-        for seg in self.segments:
-            out.append(out[-1] + seg.duration_ns)
-        return out
-
     def sample_times(self) -> np.ndarray:
-        total = self.total_ns
-        marks = list(self.boundaries_ns())
+        marks = np.cumsum([0.0] + [seg.duration_ns for seg in self.segments])
+        total = float(marks[-1])
         step = self.sample_dt_ns
         if step is not None and total > 0:
             count = (total + 1e-9) // step + 1
@@ -468,13 +465,9 @@ class Protocol:
                     f"sampling every {step:g} ns over {total:g} ns takes {count:.0f} "
                     f"samples, above the cap of {MAX_SAMPLES}"
                 )
-            k = 0
-            t = 0.0
-            while t <= total + 1e-9:
-                marks.append(min(t, total))
-                k += 1
-                t = k * step
-        marks.sort()
+            grid = np.arange(count + 1) * step
+            marks = np.concatenate((marks, np.minimum(grid[grid <= total + 1e-9], total)))
+        marks = sorted(marks.tolist())
         out = [marks[0]]
         for t in marks[1:]:
             if t - out[-1] > 1e-9:
@@ -487,52 +480,74 @@ def default_substep_ns(drive: DriveSpec) -> float:
     return drive.period_ns / SUBSTEPS_PER_PERIOD
 
 
+def _norm_bound(seg: Segment, K: int) -> float:
+    """An upper bound on ||H(t)|| of a segment on K levels per site, in rad/ns.
+
+    ||a_j|| = sqrt(K-1) bounds each term: a bond's hopping by 2|J|(K-1),
+    a site's anharmonicity by U/2 (K-1)(K-2), its transverse field by
+    |Omega| sqrt(K-1) and its drive by |eps|(K-1).
+    """
+    n = K - 1
+    bound = (sum(2.0 * abs(J) * n for J in seg.coupling.values)
+             + sum(0.5 * U * n * (n - 1) for U in seg.anharmonicity.values))
+    if seg.transverse is not None:
+        bound += sum(abs(O) for O in seg.transverse.values) * math.sqrt(n)
+    if seg.drive is not None:
+        bound += sum(abs(e) for e in seg.drive.eps) * n
+    return bound
+
+
 def run_protocol(protocol: Protocol, psi0: StateVector) -> Iterator[tuple[float, StateVector]]:
     """Evolve through all segments, yielding ``(t, state)`` at every sample.
 
     The pairs follow ``protocol.sample_times()``; the first is ``(0.0, copy
-    of psi0)``. Every yielded state is a new object that later steps leave
-    unchanged, so callers may keep any of them; they must not edit one in
-    place, since an undriven segment's basis continues from the state it
-    emitted, not from the yielded object. A schedule above
-    ``MAX_SAMPLES`` samples, or driven segments that need more than
-    ``MAX_SUBSTEPS`` CF4 substeps, raise ResourceLimitError when the first
-    pair is requested, before any propagation.
+    of psi0)``. A segment runs the samples after its start and up to 1e-9
+    ns past its end, the last clipped to its end; one ``evolve_*`` call
+    reaches each. A segment with none is skipped. Every yielded state is a
+    new object that later steps leave unchanged, so callers may keep any of
+    them; they must not edit one in place, since an undriven segment's
+    basis continues from the state it emitted, not from the yielded object.
+    Three caps raise ResourceLimitError when the first pair is requested,
+    before any propagation: a schedule above ``MAX_SAMPLES`` samples; more
+    than ``MAX_SUBSTEPS`` CF4 substeps in all, counted per sample interval
+    as ``evolve_driven`` splits it; and more than ``MAX_PHASE_RAD`` of
+    evolution, the sum over segments of duration times 2 ``_norm_bound``.
     """
     basis = psi0.basis
     times = protocol.sample_times()
-    substeps = sum(math.ceil(seg.duration_ns / default_substep_ns(seg.drive))
-                   for seg in protocol.segments if seg.drive is not None)
+    bounds = np.cumsum([0.0] + [seg.duration_ns for seg in protocol.segments])
+    stops = np.searchsorted(times, bounds + 1e-9, side="right")
+    plan = [(seg, bounds[i], np.minimum(times[stops[i]:stops[i + 1]], bounds[i + 1]))
+            for i, seg in enumerate(protocol.segments) if stops[i + 1] > stops[i]]
+    substeps = sum(_substeps(np.diff(ts - start, prepend=0.0), default_substep_ns(seg.drive))
+                   .sum() for seg, start, ts in plan if seg.drive is not None)
     if substeps > MAX_SUBSTEPS:
         raise ResourceLimitError(
-            f"the driven segments take {substeps} substeps of T/{SUBSTEPS_PER_PERIOD}, "
+            f"the driven segments take {substeps:.0f} substeps of T/{SUBSTEPS_PER_PERIOD}, "
             f"above the cap of {MAX_SUBSTEPS}"
+        )
+    phase = sum(seg.duration_ns * 2.0 * _norm_bound(seg, basis.K) for seg in protocol.segments)
+    if phase > MAX_PHASE_RAD:
+        raise ResourceLimitError(
+            f"the segments evolve through up to {phase:.3g} rad (duration times 2||H||), "
+            f"above the cap of {MAX_PHASE_RAD:g}"
         )
     psi = psi0.copy()
     yield float(times[0]), psi
-    cursor = 0.0
-    next_sample = 1
-    for seg in protocol.segments:
-        seg_start = cursor
-        seg_end = cursor + seg.duration_ns
-        cursor = seg_end
-        if seg.duration_ns == 0:
-            continue  # its boundary coincides with a sample already taken
+    for seg, start, ts in plan:
         H = seg.static_hamiltonian(basis)
         # an undriven segment's samples share one growing basis
         krylov = _Krylov(H.matvec) if seg.drive is None else None
-        t_prev = seg_start
-        while next_sample < times.size and times[next_sample] <= seg_end + 1e-9:
-            t_next = min(float(times[next_sample]), seg_end)
+        t_prev = start
+        for t in ts.tolist():
             if seg.drive is None:
-                psi = evolve_static(H, psi, t_next - t_prev, _krylov=krylov)
+                psi = evolve_static(H, psi, t - t_prev, _krylov=krylov)
             else:
                 # segment-relative times: each segment restarts its drive phase
-                psi = evolve_driven(H, seg.drive, psi, t_prev - seg_start,
-                                    t_next - seg_start, default_substep_ns(seg.drive))
-            yield t_next, psi
-            t_prev = t_next
-            next_sample += 1
+                psi = evolve_driven(H, seg.drive, psi, t_prev - start, t - start,
+                                    default_substep_ns(seg.drive))
+            yield t, psi
+            t_prev = t
         # free the basis and H before the next segment is assembled, so a
         # reversal never holds both directions' Hamiltonians
         krylov = H = None

@@ -3,7 +3,8 @@
 Subcommands: ``run`` a config file or a named figure preset, ``preset`` to
 print a preset, and ``spectrum`` for number-sector eigenvalues. A config
 with sweep axes runs every point of its sweep. Exit codes: 0 success, 2
-validation error, 3 numerics or resource error.
+validation error or an output file that cannot be written, 3 numerics or
+resource error.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from ..analysis import ResourceLimitError
 from ..operators import mhz_from_omega
 from ..propagator import NumericsError
 from .config import ConfigError, load_config
-from .experiments import run_experiment, run_sweep, write_output
+from .experiments import _output_path, run_experiment, run_sweep, write_output
 from .presets import preset, preset_names, preset_text
 
 
@@ -53,6 +54,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _output_file(config, path=None) -> str:
+    """The file ``write_output`` will write, refused before the run if it is a directory."""
+    path = _output_path(config, path)
+    if os.path.isdir(path):
+        raise ValueError(f"output path {path} is a directory")
+    return path
+
+
 def _run(config, args, stem: str) -> int:
     """Apply the flags as config overrides and run the config as it reads.
 
@@ -60,7 +69,8 @@ def _run(config, args, stem: str) -> int:
     and ``-j N`` parallelism. Without ``-o`` the path is the config's, or
     ``<stem>.<format>``, and ``--format`` sets its extension. A config with
     sweep axes writes each point beside that path and exits 3 if any point
-    failed; one without writes the path.
+    failed; one without writes the path, refused before the run if it is a
+    directory.
     """
     fmt = args.format or config.format
     path = config.path
@@ -74,7 +84,8 @@ def _run(config, args, stem: str) -> int:
         overrides["parallelism"] = args.jobs
     config = config.with_overrides(overrides)
     if not config.sweep_axes:
-        print(f"wrote {write_output(config, run_experiment(config))}")
+        path = _output_file(config)
+        print(f"wrote {write_output(config, run_experiment(config), path)}")
         return 0
     results = run_sweep(config)
     for r in results:
@@ -90,13 +101,14 @@ def _cmd_spectrum(args) -> int:
         f"[protocol]\nmode = spectrum\n[spectrum]\nparticles = {args.particles}\n"
         f"[output]\nformat = {args.format}\n"
     )
+    path = _output_file(config, args.output) if args.output else None
     report = run_experiment(config)
     lo = mhz_from_omega(report.eigenvalues[0])
     hi = mhz_from_omega(report.eigenvalues[-1])
     print(f"dimension {report.dim}, energies (value/2pi) {lo:.3f} .. {hi:.3f} MHz, "
           f"{len(set(report.bands.tolist()))} band(s)")
-    if args.output:
-        print(f"wrote {write_output(config, report, args.output)}")
+    if path:
+        print(f"wrote {write_output(config, report, path)}")
     return 0
 
 
@@ -118,6 +130,9 @@ def main(argv=None) -> int:
     except (NumericsError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # an output file that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

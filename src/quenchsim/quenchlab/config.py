@@ -11,6 +11,7 @@ MHz.
 from __future__ import annotations
 
 import cmath
+import configparser
 import dataclasses
 import math
 import os
@@ -99,12 +100,11 @@ def _integer(lo: int, hi: float = math.inf):
 
 
 def _flag(text: str) -> bool:
-    low = text.lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"expected true/false, got {text!r}")
+    """The spellings configparser reads as booleans: 1/yes/true/on and 0/no/false/off."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"expected true/false, got {text!r}") from None
 
 
 def _choice(choices: tuple):

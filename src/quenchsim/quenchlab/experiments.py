@@ -118,12 +118,9 @@ def run_experiment(config: ExperimentConfig):
     ]
 
 
-def write_output(config: ExperimentConfig, result, path=None) -> str:
-    """Write records or a SpectrumReport to ``path`` (default: the config's).
-
-    A bare file name lands in ``default_output_dir()``, and a missing parent
-    directory is created. Returns the path written.
-    """
+def _output_path(config: ExperimentConfig, path=None) -> str:
+    """The file ``write_output`` writes: ``path``, or the config's, where a
+    bare file name lands in ``default_output_dir()``."""
     if path is None:
         path = config.path
     if path is None:
@@ -131,6 +128,16 @@ def write_output(config: ExperimentConfig, result, path=None) -> str:
     path = os.fspath(path)
     if not os.path.dirname(path):
         path = os.path.join(default_output_dir(), path)
+    return path
+
+
+def write_output(config: ExperimentConfig, result, path=None) -> str:
+    """Write records or a SpectrumReport to ``path`` (default: the config's).
+
+    The path is resolved by ``_output_path``, and a missing parent
+    directory is created. Returns the path written.
+    """
+    path = _output_path(config, path)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     if isinstance(result, SpectrumReport):
         write_spectrum(result, path, config.format)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 import weakref
 
@@ -838,6 +839,136 @@ class TestProtocol:
         proto = Protocol((seg,), sample_dt_ns=50.0)
         vals = [H.expectation(p) for _, p in run_protocol(proto, psi0)]
         assert max(abs(v - vals[0]) for v in vals) < 1e-8
+
+
+def reference_sample_times(proto):
+    """The schedule as a scalar loop: cumulative boundaries, then k * step
+    for k = 0, 1, ... while within total + 1e-9, clipped to the total,
+    sorted, and the first of every cluster within 1e-9 ns kept."""
+    marks = [0.0]
+    for seg in proto.segments:
+        marks.append(marks[-1] + seg.duration_ns)
+    total = marks[-1]
+    step = proto.sample_dt_ns
+    if step is not None and total > 0:
+        k = 0
+        t = 0.0
+        while t <= total + 1e-9:
+            marks.append(min(t, total))
+            k += 1
+            t = k * step
+    marks.sort()
+    out = [marks[0]]
+    for t in marks[1:]:
+        if t - out[-1] > 1e-9:
+            out.append(t)
+    return np.asarray(out)
+
+
+class TestSchedule:
+    """``Protocol.sample_times`` and the per-sample caps of ``run_protocol``."""
+
+    def test_matches_reference_loop(self):
+        # zero-length and sub-nanosecond segments, no step, and steps of
+        # drive periods and of T/64 multiples, as the presets use them
+        rng = np.random.default_rng(7)
+        periods = [DriveSpec.staggered_odd(2, 200.0, nu).period_ns for nu in (120.0, 1000.0, 37.0)]
+        kinds = ("zero", "tiny", "periods", "substeps", "any")
+        checked = 0
+        for _ in range(3000):
+            T = periods[rng.integers(len(periods))]
+            durations = []
+            for kind in rng.choice(kinds, size=rng.integers(0, 5)):
+                durations.append({"zero": 0.0,
+                                  "tiny": float(rng.choice([1e-10, 1e-9, 2e-9, 3e-9])
+                                                * rng.uniform(0.5, 1.5)),
+                                  "periods": T * int(rng.integers(1, 8)),
+                                  "substeps": T / 64 * int(rng.integers(1, 200)),
+                                  "any": float(rng.uniform(0.0, 40.0))}[kind])
+            if rng.random() < 0.3 and durations:
+                durations.append(durations[-1])  # a reversal leg of equal length
+            step = rng.choice(["none", "period", "substep", "any"])
+            step = {"none": None, "period": T * int(rng.integers(1, 3)),
+                    "substep": T / 64 * int(rng.integers(1, 65)),
+                    "any": float(rng.uniform(0.05, 10.0))}[step]
+            proto = Protocol(tuple(make_segment(d, 10.0, 0.0, 2) for d in durations),
+                             sample_dt_ns=step)
+            ref = reference_sample_times(proto)
+            got = proto.sample_times()
+            assert got.dtype == ref.dtype and got.shape == ref.shape, (durations, step)
+            assert got.tobytes() == ref.tobytes(), (durations, step)
+            checked += ref.size
+        assert checked > 20_000
+
+    def test_substep_cap_counts_each_sample_interval(self):
+        # a sample step of 1.01 substeps splits 14,000 ns into 887,129
+        # intervals, each but the last of 2 substeps: 1,774,257 substeps in
+        # all, where 14,000 ns at whole substeps alone would be 896,000
+        drive = DriveSpec.staggered_odd(2, 200.0, 1000.0)
+        h = default_substep_ns(drive)
+        assert h == 1.0 / 64
+        seg = make_segment(14_000.0, 10.0, 0.0, 2, drive=drive)
+        pairs = run_protocol(Protocol((seg,), sample_dt_ns=1.01 * h),
+                             parse_product_state("01", build_basis(2, 2)))
+        started = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="1774257 substeps"):
+            next(pairs)
+        assert time.perf_counter() - started < 1.0
+
+    def test_substep_count_follows_evolve_driven(self, monkeypatch):
+        # the cap admits exactly the substeps that evolve_driven runs
+        from quenchsim import propagator
+
+        drive = DriveSpec.staggered_odd(2, 200.0, 1000.0)
+        seg = make_segment(0.3, 10.0, 0.0, 2, drive=drive)
+        proto = Protocol((seg, reverse_of(seg)), sample_dt_ns=1.01 * default_substep_ns(drive))
+        psi0 = parse_product_state("01", build_basis(2, 2))
+        ran = []
+        substeps = propagator._substeps
+
+        def counted(span, dt_sub_ns):
+            n = substeps(span, dt_sub_ns)
+            if np.ndim(n) == 0:  # an evolve_driven call, not the precheck
+                ran.append(int(n))
+            return n
+
+        monkeypatch.setattr(propagator, "_substeps", counted)
+        pairs = list(run_protocol(proto, psi0))
+        intervals = len(pairs) - 1
+        assert len(ran) == intervals and intervals < sum(ran) < 2 * intervals
+        monkeypatch.setattr(propagator, "MAX_SUBSTEPS", sum(ran))
+        next(run_protocol(proto, psi0))
+        monkeypatch.setattr(propagator, "MAX_SUBSTEPS", sum(ran) - 1)
+        with pytest.raises(ResourceLimitError, match=f"{sum(ran)} substeps"):
+            next(run_protocol(proto, psi0))
+
+    def test_evolution_cap_refuses_before_any_step(self, monkeypatch):
+        # 1e12 ns takes two samples, but at ||H|| of order 1 rad/ns it would
+        # run through about 1e12 rad of phase
+        def no_matvec(self, *args):
+            raise AssertionError("propagation started")
+
+        monkeypatch.setattr(SparseOperator, "matvec", no_matvec)
+        seg = make_segment(1e12, 8.0, 240.0, 4)
+        pairs = run_protocol(Protocol((seg,), sample_dt_ns=1e12),
+                             parse_product_state("0101", build_basis(4, 3, sector=2)))
+        with pytest.raises(ResourceLimitError, match="rad"):
+            next(pairs)
+
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    def test_norm_bound_holds(self, K):
+        from quenchsim import propagator
+
+        L = 3
+        drive = DriveSpec.from_mhz([30.0, -50.0, 20.0], 500.0)
+        seg = Segment(1.0, CouplingProfile.from_mhz([16.0, -9.0]),
+                      AnharmonicityProfile.from_mhz([212.0, 264.0, 210.0]),
+                      TransverseProfile.from_mhz([7.0, -5.0, 3.0]), drive=drive)
+        basis = build_basis(L, K)
+        H = seg.static_hamiltonian(basis).dense()
+        d = np.diag(basis.states @ np.asarray(drive.eps))
+        worst = max(np.abs(np.linalg.eigvalsh(H + c * d)).max() for c in (-1.0, 0.0, 1.0))
+        assert worst <= propagator._norm_bound(seg, K)
 
 
 def dense_samples(proto, psi0):

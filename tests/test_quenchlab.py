@@ -1,5 +1,6 @@
 import concurrent.futures
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from quenchsim import ResourceLimitError, analysis, fidelity, parse_product_state, build_basis
+from quenchsim import propagator
 from quenchsim.analysis import SpectrumReport
 from quenchsim.quenchlab import (
     ConfigError,
@@ -26,7 +28,7 @@ from quenchsim.quenchlab import (
     write_records,
     write_spectrum,
 )
-from quenchsim.quenchlab import experiments
+from quenchsim.quenchlab import cli, experiments
 from quenchsim.quenchlab.cli import main
 from quenchsim.quenchlab.experiments import _pick_sector
 
@@ -217,6 +219,13 @@ class TestLoadConfig:
     def test_stroboscopic_needs_drive(self):
         with pytest.raises(ConfigError, match="drive"):
             load_config(MINIMAL + "\n[sampling]\nstroboscopic = true\n")
+
+    @pytest.mark.parametrize("text, value", [("1", True), ("Yes", True), ("true", True),
+                                             ("ON", True), ("0", False), ("no", False),
+                                             ("False", False), ("off", False)])
+    def test_flag_spellings(self, text, value):
+        config = load_config(MINIMAL + DRIVE + f"[sampling]\nstroboscopic = {text}\n")
+        assert config.stroboscopic is value
 
     def test_amplitude_pairs(self):
         text = """
@@ -860,6 +869,30 @@ class TestCli:
         assert rc == 0
         assert len(out.read_text().splitlines()) == 1 + 3
 
+    @pytest.mark.parametrize("command", [
+        ["run", "--preset", "fig8c"],
+        ["spectrum", "-L", "3", "-N", "1", "-K", "2", "--J", "8", "--U", "240"],
+    ], ids=["run", "spectrum"])
+    def test_directory_output_refused_before_the_run(self, tmp_path, monkeypatch, capsys,
+                                                     command):
+        def run_experiment(config):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        assert main(command + ["-o", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(tmp_path) in err
+
+    def test_unwritable_output_one_error_line(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(MINIMAL)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["run", "-c", str(cfg_path), "-o", str(blocker / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(blocker) in err
+        assert len(err.splitlines()) == 1
+
     def test_too_many_levels_exit_2(self, tmp_path, capsys):
         text = MINIMAL.replace("levels = 2", "levels = 200")
         with pytest.raises(ConfigError, match="levels"):
@@ -1123,6 +1156,52 @@ initial = 0101010101010101010101010101010101010101
 mode = single-run
 duration_ns = 10
 """
+
+    LONG = """
+[lattice]
+sites = 4
+levels = 3
+[state]
+initial = 0101
+[protocol]
+mode = single-run
+duration_ns = 1e12
+[sampling]
+dt_ns = 1e12
+"""
+
+    def test_long_evolution_cli_exit_3(self, tmp_path, capsys):
+        # two samples pass every schedule cap, but 1e12 ns of propagation would not finish
+        cfg_path = tmp_path / "long.cfg"
+        cfg_path.write_text(self.LONG)
+        out = tmp_path / "o.csv"
+        started = time.perf_counter()
+        assert main(["run", "-c", str(cfg_path), "-o", str(out)]) == 3
+        assert time.perf_counter() - started < 1.0
+        assert "rad" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_preset_point_passes_the_run_caps(self, monkeypatch):
+        # the caps of run_protocol, met at its first pair, admit every figure
+        class FirstPairTaken(Exception):
+            pass
+
+        def first_pair(protocol, psi0):
+            yield next(propagator.run_protocol(protocol, psi0))
+            raise FirstPairTaken
+
+        monkeypatch.setattr(experiments, "run_protocol", first_pair)
+        points = 0
+        for name in preset_names():
+            base = preset(name)
+            for combo in itertools.product(*base.sweep_axes.values()):
+                config = base.with_overrides(dict(zip(base.sweep_axes, combo)))
+                if config.mode == "spectrum":
+                    continue
+                with pytest.raises(FirstPairTaken):
+                    run_experiment(config)
+                points += 1
+        assert points > 30
 
     def test_huge_basis_fails_fast(self):
         started = time.perf_counter()
