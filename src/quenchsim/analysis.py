@@ -26,12 +26,11 @@ from .fockspace import (
     FockBasis,
     ResourceLimitError,
     StateVector,
+    _checked_dim,
     _embedded_amplitudes,
-    basis_dim,
     build_basis,
-    check_codes_fit,
 )
-from .operators import AnharmonicityProfile, CouplingProfile, _hamiltonian, _pair_weights
+from .operators import _LEVEL_PAIRS, AnharmonicityProfile, CouplingProfile, _hamiltonian, _site_sum
 
 __all__ = [
     "ResourceLimitError",
@@ -208,7 +207,7 @@ def _anharmonicity_weights(basis: FockBasis) -> np.ndarray:
 
     The terms are integers, so the sum is exact in any order.
     """
-    w = _pair_weights(basis, [1.0] * basis.L)
+    w = _site_sum(basis, [1.0] * basis.L, _LEVEL_PAIRS)
     w.setflags(write=False)
     return w
 
@@ -292,8 +291,7 @@ def sector_spectrum(
     and ``dsyevd``'s workspace of two. That is 96 MB at n = 2002 and 2.4 GB
     at the cap.
     """
-    check_codes_fit(L, K)
-    dim = basis_dim(L, K, N, N)  # counted before anything is enumerated
+    dim = _checked_dim(L, K, N, N)  # counted before anything is enumerated
     if dim > MAX_DENSE_DIM:
         raise ResourceLimitError(f"sector dimension {dim} exceeds dense cap {MAX_DENSE_DIM}")
     basis = build_basis(L, K, sector=N)

@@ -82,6 +82,18 @@ def check_codes_fit(L: int, K: int) -> None:
         raise ResourceLimitError(f"codes of {L} sites with {K} levels overflow int64")
 
 
+def _checked_dim(L: int, K: int, lo: int, hi: int) -> int:
+    """``basis_dim``, or ResourceLimitError if codes overflow or it exceeds ``MAX_BASIS_DIM``."""
+    check_codes_fit(L, K)
+    dim = basis_dim(L, K, lo, hi)
+    if dim > MAX_BASIS_DIM:
+        raise ResourceLimitError(
+            f"basis of L={L}, K={K}, N={lo}..{hi} has {dim} states, "
+            f"above the cap of {MAX_BASIS_DIM}"
+        )
+    return dim
+
+
 def _states(L: int, K: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Occupation vectors with total in [lo, hi] and their codes, ascending.
 
@@ -130,8 +142,8 @@ class FockBasis:
     basis is the union of its sectors, still in lexicographic order.
     A basis whose codes overflow int64, or whose dimension (counted before
     anything is enumerated) exceeds ``MAX_BASIS_DIM``, raises
-    ResourceLimitError. Instances are immutable and safe to share
-    between threads.
+    ResourceLimitError (``_checked_dim``, which config loading runs too).
+    Instances are immutable and safe to share between threads.
     """
 
     def __init__(self, L: int, K: int, sector: int | range | None = None):
@@ -151,13 +163,7 @@ class FockBasis:
             lo = hi = int(sector)
         if not 0 <= lo <= hi <= n_max:
             raise ValueError(f"sector {sector!r} outside [0, {n_max}] for L={L}, K={K}")
-        check_codes_fit(L, K)
-        dim = basis_dim(L, K, lo, hi)
-        if dim > MAX_BASIS_DIM:
-            raise ResourceLimitError(
-                f"basis of L={L}, K={K}, N={lo}..{hi} has {dim} states, "
-                f"above the cap of {MAX_BASIS_DIM}"
-            )
+        _checked_dim(L, K, lo, hi)
         self.L = L
         self.K = K
         if (lo, hi) == (0, n_max):

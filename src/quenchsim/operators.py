@@ -4,7 +4,8 @@ The model is assembled from four pieces: the nearest-neighbour hopping
 ``sum_j J_j (a+_j a_{j+1} + h.c.)``, the on-site anharmonicity
 ``sum_j (-U_j/2) n_j (n_j - 1)``, a diagonal number-weighted term used for
 sinusoidal frequency modulation, and the transverse field
-``(1/2) sum_j Omega_j (a+_j + a_j)``.
+``(1/2) sum_j Omega_j (a+_j + a_j)``. ``_site_sum`` forms both diagonals,
+and the drive weights of ``propagator.evolve_driven``, as per-site sums.
 
 Every operator is assembled by ``_assemble``: each term hands it either a
 diagonal or the (source, target, amplitude) index pairs of its hops, and it
@@ -42,7 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from .fockspace import FockBasis
+from .fockspace import MAX_LEVELS, FockBasis
 
 __all__ = [
     "omega_from_mhz",
@@ -80,13 +81,14 @@ def _omegas(values_mhz) -> tuple:
 
 
 @dataclass(frozen=True)
-class CouplingProfile:
-    """Nearest-neighbour hopping strengths, one per bond, in rad/ns."""
+class _SiteProfile:
+    """Angular frequencies in rad/ns, one per bond or site; subclasses are dataclasses too."""
 
     values: tuple
 
     @classmethod
-    def from_mhz(cls, values_mhz) -> "CouplingProfile":
+    def from_mhz(cls, values_mhz):
+        """The profile of a value/2pi in MHz or a list of them."""
         return cls(_omegas(values_mhz))
 
     def __len__(self) -> int:
@@ -94,42 +96,29 @@ class CouplingProfile:
 
 
 @dataclass(frozen=True)
-class AnharmonicityProfile:
+class CouplingProfile(_SiteProfile):
+    """Nearest-neighbour hopping strengths, one per bond, in rad/ns."""
+
+
+@dataclass(frozen=True)
+class AnharmonicityProfile(_SiteProfile):
     """On-site interaction magnitudes U_j >= 0, in rad/ns.
 
     The defining sign lives in the operator: the diagonal term is
     ``-U_j/2 * n_j (n_j - 1)``, so profiles carry the positive magnitude.
     """
 
-    values: tuple
-
     def __post_init__(self):
         if any(v < 0 for v in self.values):
             raise ValueError("anharmonicity magnitudes must be non-negative")
 
-    @classmethod
-    def from_mhz(cls, values_mhz) -> "AnharmonicityProfile":
-        return cls(_omegas(values_mhz))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 @dataclass(frozen=True)
-class TransverseProfile:
+class TransverseProfile(_SiteProfile):
     """Local transverse field strengths Omega_j, in rad/ns."""
-
-    values: tuple
-
-    @classmethod
-    def from_mhz(cls, values_mhz) -> "TransverseProfile":
-        return cls(_omegas(values_mhz))
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -399,16 +388,20 @@ def build_hopping(basis: FockBasis, profile: CouplingProfile) -> SparseOperator:
     return _assemble(basis, None, _hopping_pairs(basis, profile))
 
 
-def _pair_weights(basis: FockBasis, weights) -> np.ndarray:
-    """``sum_j w_j n_j (n_j - 1)`` of every basis state, one weight per site.
+# f(n) tables of ``_site_sum`` for every level n < MAX_LEVELS: n and n (n - 1)
+_LEVELS = np.arange(MAX_LEVELS, dtype=np.float64)
+_LEVEL_PAIRS = _LEVELS * (_LEVELS - 1.0)
 
-    Summed one site at a time, so no (dim, L) float copy of the states is
-    made.
+
+def _site_sum(basis: FockBasis, weights, table: np.ndarray) -> np.ndarray:
+    """``sum_j w_j f(n_j)`` of every basis state, with ``table[n] = f(n)``.
+
+    Summed one site at a time in site order, so no (dim, L) float copy of
+    the states is made.
     """
     out = np.zeros(basis.dim)
     for j, w in enumerate(weights):
-        n = basis.states[:, j].astype(np.float64)
-        out += w * (n * (n - 1.0))
+        out += w * table[basis.states[:, j]]
     return out
 
 
@@ -416,7 +409,7 @@ def _anharmonicity_diagonal(basis: FockBasis, profile: AnharmonicityProfile) -> 
     """Diagonal of ``sum_j (-U_j/2) n_j (n_j - 1)``."""
     if len(profile) != basis.L:
         raise ValueError(f"anharmonicity profile needs {basis.L} sites, got {len(profile)}")
-    return _pair_weights(basis, [-0.5 * U for U in profile.values])
+    return _site_sum(basis, [-0.5 * U for U in profile.values], _LEVEL_PAIRS)
 
 
 def build_onsite_anharmonicity(
@@ -427,11 +420,11 @@ def build_onsite_anharmonicity(
 
 
 def build_number_weighted(basis: FockBasis, weights: Sequence[float]) -> SparseOperator:
-    """Diagonal term ``sum_j w_j n_j`` for arbitrary per-site weights."""
+    """Diagonal term ``sum_j w_j n_j`` for arbitrary per-site weights, by ``_site_sum``."""
     weights = np.asarray(weights, dtype=np.float64)
     if weights.size != basis.L:
         raise ValueError(f"need {basis.L} weights, got {weights.size}")
-    return _assemble(basis, basis.states.astype(np.float64) @ weights, [])
+    return _assemble(basis, _site_sum(basis, weights, _LEVELS), [])
 
 
 def total_number(basis: FockBasis) -> SparseOperator:

@@ -34,7 +34,9 @@ from .operators import (
     DriveSpec,
     SparseOperator,
     TransverseProfile,
+    _LEVELS,
     _hamiltonian,
+    _site_sum,
     build_number_weighted,
 )
 
@@ -326,7 +328,8 @@ def evolve_driven(
     The integrator is fourth-order commutator-free: each substep applies two
     exponentials of ``H_static + gamma d`` for time h/2, with gamma mixing
     the cosine sampled at the two Gauss nodes of the substep and d the
-    drive's weight ``sum_j eps_j n_j`` of each basis state. One basis object
+    drive's weight ``sum_j eps_j n_j`` of each basis state, summed one site
+    at a time by ``operators._site_sum``. One basis object
     serves every exponential of the call: its matvec reads the current
     ``gamma d`` and adds ``gamma d x`` into the row plane by plane, through
     one plane-sized buffer. Non-finite times raise ValueError, and more than
@@ -351,7 +354,7 @@ def evolve_driven(
     if nsub > MAX_SUBSTEPS:
         raise ResourceLimitError(f"{span:g} ns takes {nsub:.0f} substeps of {dt_sub_ns:g} ns, "
                                  f"above the cap of {MAX_SUBSTEPS}")
-    d = psi.basis.states @ np.asarray(drive.eps)
+    d = _site_sum(psi.basis, drive.eps, _LEVELS)
     nu = drive.nu
     h = span / nsub
     gd = np.empty_like(d)
@@ -503,7 +506,8 @@ def run_protocol(protocol: Protocol, psi0: StateVector) -> Iterator[tuple[float,
     The pairs follow ``protocol.sample_times()``; the first is ``(0.0, copy
     of psi0)``. A segment runs the samples after its start and up to 1e-9
     ns past its end, the last clipped to its end; one ``evolve_*`` call
-    reaches each. A segment with none is skipped. Every yielded state is a
+    reaches each. A segment of nonzero duration with none is evolved to its
+    end by one call that yields nothing. Every yielded state is a
     new object that later steps leave unchanged, so callers may keep any of
     them; they must not edit one in place, since an undriven segment's
     basis continues from the state it emitted, not from the yielded object.
@@ -517,10 +521,13 @@ def run_protocol(protocol: Protocol, psi0: StateVector) -> Iterator[tuple[float,
     times = protocol.sample_times()
     bounds = np.cumsum([0.0] + [seg.duration_ns for seg in protocol.segments])
     stops = np.searchsorted(times, bounds + 1e-9, side="right")
-    plan = [(seg, bounds[i], np.minimum(times[stops[i]:stops[i + 1]], bounds[i + 1]))
-            for i, seg in enumerate(protocol.segments) if stops[i + 1] > stops[i]]
+    plan = []  # (segment, start, times it evolves to, whether it yields them)
+    for i, seg in enumerate(protocol.segments):
+        ts = np.minimum(times[stops[i]:stops[i + 1]], bounds[i + 1])
+        if seg.duration_ns > 0:
+            plan.append((seg, bounds[i], ts if ts.size else bounds[i + 1:i + 2], ts.size > 0))
     substeps = sum(_substeps(np.diff(ts - start, prepend=0.0), default_substep_ns(seg.drive))
-                   .sum() for seg, start, ts in plan if seg.drive is not None)
+                   .sum() for seg, start, ts, _ in plan if seg.drive is not None)
     if substeps > MAX_SUBSTEPS:
         raise ResourceLimitError(
             f"the driven segments take {substeps:.0f} substeps of T/{SUBSTEPS_PER_PERIOD}, "
@@ -534,7 +541,7 @@ def run_protocol(protocol: Protocol, psi0: StateVector) -> Iterator[tuple[float,
         )
     psi = psi0.copy()
     yield float(times[0]), psi
-    for seg, start, ts in plan:
+    for seg, start, ts, sampled in plan:
         H = seg.static_hamiltonian(basis)
         # an undriven segment's samples share one growing basis
         krylov = _Krylov(H.matvec) if seg.drive is None else None
@@ -546,7 +553,8 @@ def run_protocol(protocol: Protocol, psi0: StateVector) -> Iterator[tuple[float,
                 # segment-relative times: each segment restarts its drive phase
                 psi = evolve_driven(H, seg.drive, psi, t_prev - start, t - start,
                                     default_substep_ns(seg.drive))
-            yield t, psi
+            if sampled:
+                yield t, psi
             t_prev = t
         # free the basis and H before the next segment is assembled, so a
         # reversal never holds both directions' Hamiltonians

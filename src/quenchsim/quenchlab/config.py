@@ -17,14 +17,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from ..fockspace import (
-    MAX_BASIS_DIM,
-    MAX_LEVELS,
-    ResourceLimitError,
-    basis_dim,
-    check_codes_fit,
-    product_sites,
-)
+from ..fockspace import MAX_LEVELS, _checked_dim, check_codes_fit, product_sites
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "TABLE_S1_U_MHZ"]
 
@@ -448,13 +441,7 @@ def _validate(entries: dict, source_text: str = "") -> ExperimentConfig:
         source_text=source_text,
     )
     if mode != "spectrum":
-        lo, hi = _number_range(config)
-        dim = basis_dim(sites, levels, lo, hi)
-        if dim > MAX_BASIS_DIM:
-            raise ResourceLimitError(
-                f"the run's basis (L={sites}, K={levels}, N={lo}..{hi}) has {dim} states, "
-                f"above the cap of {MAX_BASIS_DIM}"
-            )
+        _checked_dim(sites, levels, *_number_range(config))
     return config
 
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +176,22 @@ class TestDiagonalTerms:
         )
         assert brute == pytest.approx(expected)
 
+    def test_number_weighted_makes_no_state_sized_float_copy(self):
+        # the weights of the full L=10, K=3 basis are summed one site at a
+        # time: `states @ eps` copied the (dim, L) occupations to float64
+        # and peaked at 4.96 MB, above that copy's dim * L * 8 bytes
+        basis = build_basis(10, 3)
+        eps = DriveSpec.staggered_odd(10, 213.6, 120.0).eps
+        tracemalloc.start()
+        try:
+            op = build_number_weighted(basis, eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < basis.dim * basis.L * 8
+        np.testing.assert_allclose(op.diagonal(), basis.states @ np.asarray(eps),
+                                   rtol=0, atol=1e-15)
+
 
 class TestTransverse:
     def test_single_site_two_levels(self):
@@ -259,6 +276,18 @@ class TestUnitsAndDrive:
     def test_active_drive_needs_frequency(self):
         with pytest.raises(ValueError):
             DriveSpec((omega_from_mhz(100.0),), 0.0)
+
+    @pytest.mark.parametrize("cls", [CouplingProfile, AnharmonicityProfile, TransverseProfile])
+    def test_profiles_are_distinct_frozen_types(self, cls):
+        p = cls.from_mhz([16.0, 8.0])
+        assert type(p) is cls and len(p) == 2
+        assert p.values == (omega_from_mhz(16.0), omega_from_mhz(8.0))
+        assert repr(p) == f"{cls.__name__}(values={p.values!r})"
+        assert p == cls(p.values) and hash(p) == hash(cls(p.values))
+        others = {CouplingProfile, AnharmonicityProfile, TransverseProfile} - {cls}
+        assert all(p != other(p.values) for other in others)
+        with pytest.raises(AttributeError):
+            p.values = ()
 
 
 class TestSparseOperatorAlgebra:

@@ -1050,6 +1050,36 @@ class TestSampledSegment:
         # basis per segment takes 276
         assert matvecs <= 400
 
+    @pytest.mark.parametrize("driven", [False, True])
+    def test_unsampled_short_leg_is_evolved(self, monkeypatch, driven):
+        # the 9e-10 ns leg ends within 1e-9 ns of the sample at 0, so no
+        # sample falls in it; skipping it, as a plan of sampled segments
+        # did, put every later sample 5.7e-6 from the exact state
+        from quenchsim import propagator
+
+        basis = build_basis(2, 2)
+        psi0 = parse_product_state("10", basis)
+        drive = DriveSpec.staggered_odd(2, 213.6, 120.0) if driven else None
+        short = make_segment(9e-10, 1e6, 0.0, 2, drive=drive)
+        proto = Protocol((short, make_segment(10.0, 8.0, 0.0, 2)), sample_dt_ns=5.0)
+        pairs = list(run_protocol(proto, psi0))
+        assert [t for t, _ in pairs] == proto.sample_times().tolist() == [0.0, 5.0, 10.0]
+        H = short.static_hamiltonian(basis).dense()
+        if driven:  # cos(nu t) = 1 - 3e-19 over the leg
+            H = H + np.diag(basis.states @ np.asarray(drive.eps))
+        psi = scipy.linalg.expm(-1j * 9e-10 * H) @ psi0.amplitudes
+        w, P = np.linalg.eigh(proto.segments[1].static_hamiltonian(basis).dense())
+        for t, state in pairs[1:]:
+            exact = dense_propagate_eig(w, P, psi, t - 9e-10)
+            assert np.linalg.norm(state.amplitudes - exact) < 1e-12
+        # the driven leg's one substep counts toward the cap
+        monkeypatch.setattr(propagator, "MAX_SUBSTEPS", 0)
+        if driven:
+            with pytest.raises(ResourceLimitError, match="1 substeps"):
+                next(run_protocol(proto, psi0))
+        else:
+            next(run_protocol(proto, psi0))
+
     # A full basis of this state certifies 28.5 ns from its start: at 20 ns
     # it is rebuilt from an Expokit sub-step between samples, and at 40 ns
     # the first interval takes two bases.
