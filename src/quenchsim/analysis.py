@@ -218,6 +218,14 @@ def anharmonicity_expectation(psi: StateVector) -> float:
     return float(np.sum(w * np.abs(psi.amplitudes) ** 2))
 
 
+def _schmidt_shape(L: int, K: int, cut: int) -> tuple[int, int]:
+    """``(K^cut, K^(L-cut))``, or ResourceLimitError above ``MAX_ENTROPY_ELEMENTS``."""
+    rows, cols = K**cut, K ** (L - cut)
+    if rows * cols > MAX_ENTROPY_ELEMENTS:
+        raise ResourceLimitError(f"bipartition needs {rows}x{cols} dense elements, above the cap")
+    return rows, cols
+
+
 def half_chain_entropy(psi: StateVector, cut: int) -> float:
     """Von Neumann entropy (nats) of the first ``cut`` sites.
 
@@ -225,17 +233,13 @@ def half_chain_entropy(psi: StateVector, cut: int) -> float:
     the Schmidt spectrum. On the full basis that matrix is the amplitude
     vector reshaped; a restricted basis scatters its amplitudes into a
     zero-filled one. Raises ResourceLimitError when the rectangle would
-    exceed the dense-size cap.
+    exceed the dense-size cap (``_schmidt_shape``, which config loading runs
+    too, so a loaded config never meets it).
     """
     basis = psi.basis
     if not 1 <= cut < basis.L:
         raise ValueError(f"cut must lie strictly inside the chain, got {cut}")
-    rows = basis.K**cut
-    cols = basis.K ** (basis.L - cut)
-    if rows * cols > MAX_ENTROPY_ELEMENTS:
-        raise ResourceLimitError(
-            f"bipartition needs {rows}x{cols} dense elements, above the cap"
-        )
+    rows, cols = _schmidt_shape(basis.L, basis.K, cut)
     m = basis._tensor(psi.amplitudes, (cut, basis.L - cut))
     if m is None:
         # Radix codes put site 0 first, so code = row * cols + col.
@@ -276,6 +280,14 @@ class SpectrumReport:
         }
 
 
+def _check_dense(L: int, K: int, N: int) -> None:
+    """ResourceLimitError if sector N is above ``_checked_dim``'s cap or
+    ``MAX_DENSE_DIM``, counted before anything is enumerated."""
+    dim = _checked_dim(L, K, N, N)
+    if dim > MAX_DENSE_DIM:
+        raise ResourceLimitError(f"sector dimension {dim} exceeds dense cap {MAX_DENSE_DIM}")
+
+
 def sector_spectrum(
     L: int,
     N: int,
@@ -286,14 +298,12 @@ def sector_spectrum(
     """Full spectrum of hopping plus anharmonicity in one number sector.
 
     Diagonalizes densely, so the sector dimension must stay at desk scale:
-    above ``MAX_DENSE_DIM`` (10^4) a ResourceLimitError is raised. A solve
-    holds 3n^2 doubles: the real matrix, which the eigenvectors overwrite,
-    and ``dsyevd``'s workspace of two. That is 96 MB at n = 2002 and 2.4 GB
-    at the cap.
+    above ``MAX_DENSE_DIM`` (10^4) ``_check_dense`` raises
+    ResourceLimitError, as config loading does. A solve holds 3n^2 doubles:
+    the real matrix, which the eigenvectors overwrite, and ``dsyevd``'s
+    workspace of two. That is 96 MB at n = 2002 and 2.4 GB at the cap.
     """
-    dim = _checked_dim(L, K, N, N)  # counted before anything is enumerated
-    if dim > MAX_DENSE_DIM:
-        raise ResourceLimitError(f"sector dimension {dim} exceeds dense cap {MAX_DENSE_DIM}")
+    _check_dense(L, K, N)
     basis = build_basis(L, K, sector=N)
     H = _hamiltonian(basis, coupling, anharmonicity, None, 1)
     # Fortran order lets dsyevd write the eigenvectors over it, uncopied

@@ -500,28 +500,20 @@ def _norm_bound(seg: Segment, K: int) -> float:
     return bound
 
 
-def run_protocol(protocol: Protocol, psi0: StateVector) -> Iterator[tuple[float, StateVector]]:
-    """Evolve through all segments, yielding ``(t, state)`` at every sample.
+def _plan(protocol: Protocol, K: int):
+    """``(times, plan)`` of a protocol on K levels per site, made without a basis.
 
-    The pairs follow ``protocol.sample_times()``; the first is ``(0.0, copy
-    of psi0)``. A segment runs the samples after its start and up to 1e-9
-    ns past its end, the last clipped to its end; one ``evolve_*`` call
-    reaches each. A segment of nonzero duration with none is evolved to its
-    end by one call that yields nothing. Every yielded state is a
-    new object that later steps leave unchanged, so callers may keep any of
-    them; they must not edit one in place, since an undriven segment's
-    basis continues from the state it emitted, not from the yielded object.
-    Three caps raise ResourceLimitError when the first pair is requested,
-    before any propagation: a schedule above ``MAX_SAMPLES`` samples; more
-    than ``MAX_SUBSTEPS`` CF4 substeps in all, counted per sample interval
-    as ``evolve_driven`` splits it; and more than ``MAX_PHASE_RAD`` of
-    evolution, the sum over segments of duration times 2 ``_norm_bound``.
+    ``times`` is ``protocol.sample_times()``. The plan holds ``(segment,
+    start, times, sampled)`` per segment of nonzero duration: its samples up
+    to 1e-9 ns past its end, clipped to it, or else its end alone, unsampled.
+    Raises ResourceLimitError above ``MAX_SAMPLES`` samples, ``MAX_SUBSTEPS``
+    CF4 substeps in all (per sample interval, as ``evolve_driven`` splits
+    it) or ``MAX_PHASE_RAD``: duration times 2 ``_norm_bound``, summed.
     """
-    basis = psi0.basis
     times = protocol.sample_times()
     bounds = np.cumsum([0.0] + [seg.duration_ns for seg in protocol.segments])
     stops = np.searchsorted(times, bounds + 1e-9, side="right")
-    plan = []  # (segment, start, times it evolves to, whether it yields them)
+    plan = []
     for i, seg in enumerate(protocol.segments):
         ts = np.minimum(times[stops[i]:stops[i + 1]], bounds[i + 1])
         if seg.duration_ns > 0:
@@ -533,12 +525,26 @@ def run_protocol(protocol: Protocol, psi0: StateVector) -> Iterator[tuple[float,
             f"the driven segments take {substeps:.0f} substeps of T/{SUBSTEPS_PER_PERIOD}, "
             f"above the cap of {MAX_SUBSTEPS}"
         )
-    phase = sum(seg.duration_ns * 2.0 * _norm_bound(seg, basis.K) for seg in protocol.segments)
+    phase = sum(seg.duration_ns * 2.0 * _norm_bound(seg, K) for seg in protocol.segments)
     if phase > MAX_PHASE_RAD:
         raise ResourceLimitError(
             f"the segments evolve through up to {phase:.3g} rad (duration times 2||H||), "
             f"above the cap of {MAX_PHASE_RAD:g}"
         )
+    return times, plan
+
+
+def run_protocol(protocol: Protocol, psi0: StateVector) -> Iterator[tuple[float, StateVector]]:
+    """Evolve through all segments, yielding ``(t, state)`` at every sample.
+
+    The pairs follow ``protocol.sample_times()``, the first ``(0.0, copy of
+    psi0)``; one ``evolve_*`` call reaches each time of ``_plan``, whose caps
+    raise ResourceLimitError at the first pair, before any propagation.
+    Callers may keep any yielded state but must not edit one in place: an
+    undriven segment's basis resumes from the state it emitted.
+    """
+    basis = psi0.basis
+    times, plan = _plan(protocol, basis.K)
     psi = psi0.copy()
     yield float(times[0]), psi
     for seg, start, ts, sampled in plan:

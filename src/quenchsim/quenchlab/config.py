@@ -17,7 +17,10 @@ import math
 import os
 from dataclasses import dataclass, field
 
+from ..analysis import ResourceLimitError, _check_dense, _schmidt_shape
 from ..fockspace import MAX_LEVELS, _checked_dim, check_codes_fit, product_sites
+from ..operators import AnharmonicityProfile, CouplingProfile, DriveSpec, TransverseProfile
+from ..propagator import Protocol, Segment, _plan, reverse_of
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "TABLE_S1_U_MHZ"]
 
@@ -29,6 +32,10 @@ TABLE_S1_U_MHZ = (212.0, 264.0, 210.0, 268.0, 212.0, 268.0, 214.0, 264.0, 214.0,
 MODES = ("time-reversal", "one-direction-compare", "single-run", "spectrum")
 FORMATS = ("csv", "json")
 OBSERVABLES = ("fidelity", "populations", "pauli", "entropy", "anharmonicity")
+# run_sweep holds its whole grid as a list and writes a file per point; a
+# ten-site point takes seconds, so 10^4 points are already hours of runs,
+# and every figure preset sweeps at most 5
+MAX_SWEEP_POINTS = 10_000
 
 
 class ConfigError(ValueError):
@@ -329,6 +336,24 @@ def _pick_sector(config: ExperimentConfig) -> int | range | None:
     return lo if lo == hi else range(lo, hi + 1)
 
 
+def _protocol(config: ExperimentConfig) -> Protocol:
+    """The protocol of a trajectory config, built from the config alone, without a basis."""
+    coupling = CouplingProfile.from_mhz(config.coupling_mhz)
+    anh = AnharmonicityProfile.from_mhz(config.anharmonicity_mhz)
+    trans = TransverseProfile.from_mhz(config.transverse_mhz)
+    nu = config.drive_frequency_mhz
+    drive_f, drive_b = (None if mhz is None else DriveSpec.staggered_odd(config.sites, mhz, nu)
+                        for mhz in (config.drive_forward_mhz, config.drive_backward_mhz))
+    if config.mode == "time-reversal":
+        seg_f = Segment(config.forward_ns, coupling, anh, trans, drive=drive_f)
+        segments = (seg_f, reverse_of(seg_f, drive_override=drive_b))
+    else:
+        segments = (Segment(config.duration_ns, coupling, anh, trans, drive=drive_f),)
+    # _validate gives every stroboscopic run a drive with nu > 0
+    step = drive_f.period_ns if config.stroboscopic else config.dt_ns
+    return Protocol(segments, sample_dt_ns=step)
+
+
 def _validate(entries: dict, source_text: str = "") -> ExperimentConfig:
     """{key: (value text, line or None)} -> ExperimentConfig, or ConfigError."""
     values = {key: default for key, (_, _, default) in KEYS.items()}
@@ -440,8 +465,18 @@ def _validate(entries: dict, source_text: str = "") -> ExperimentConfig:
         raw=dict(entries),
         source_text=source_text,
     )
-    if mode != "spectrum":
-        _checked_dim(sites, levels, *_number_range(config))
+    # every cap of the run, met before any basis, state or operator exists
+    points = math.prod(map(len, config.sweep_axes.values()))
+    if points > MAX_SWEEP_POINTS:
+        raise ResourceLimitError(f"the sweep has {points} points, above the cap of "
+                                 f"{MAX_SWEEP_POINTS}")
+    if mode == "spectrum":
+        _check_dense(sites, levels, config.particles)
+        return config
+    _checked_dim(sites, levels, *_number_range(config))
+    _plan(_protocol(config), levels)
+    if "entropy" in config.observables and sites > 1:
+        _schmidt_shape(sites, levels, sites // 2)
     return config
 
 

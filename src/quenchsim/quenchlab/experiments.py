@@ -21,31 +21,12 @@ from ..analysis import (
     site_populations,
 )
 from ..fockspace import build_basis, build_product_state
-from ..operators import AnharmonicityProfile, CouplingProfile, DriveSpec, TransverseProfile
-from ..propagator import Protocol, Segment, reverse_of, run_protocol
-from .config import ExperimentConfig, _pick_sector
+from ..operators import AnharmonicityProfile, CouplingProfile
+from ..propagator import run_protocol
+from .config import ExperimentConfig, _pick_sector, _protocol
 from .records import default_output_dir, write_records, write_spectrum
 
 __all__ = ["run_experiment", "run_sweep", "write_output"]
-
-
-def _profiles(config: ExperimentConfig):
-    coupling = CouplingProfile.from_mhz(config.coupling_mhz)
-    anh = AnharmonicityProfile.from_mhz(config.anharmonicity_mhz)
-    trans = TransverseProfile.from_mhz(config.transverse_mhz)
-    return coupling, anh, trans
-
-
-def _drive_specs(config: ExperimentConfig):
-    """(forward drive, backward drive) or (None, None) when undriven."""
-    if config.drive_forward_mhz is None:
-        return None, None
-    nu = config.drive_frequency_mhz
-    fwd = DriveSpec.staggered_odd(config.sites, config.drive_forward_mhz, nu)
-    bwd = None
-    if config.drive_backward_mhz is not None:
-        bwd = DriveSpec.staggered_odd(config.sites, config.drive_backward_mhz, nu)
-    return fwd, bwd
 
 
 def _observer(config: ExperimentConfig, psi0=None):
@@ -83,26 +64,17 @@ def run_experiment(config: ExperimentConfig):
     Trajectory modes return a list of ObservableRecord; spectrum mode
     returns a SpectrumReport.
     """
-    coupling, anh, trans = _profiles(config)
     if config.mode == "spectrum":
         return sector_spectrum(
-            config.sites, config.particles, config.levels, coupling, anh
+            config.sites, config.particles, config.levels,
+            CouplingProfile.from_mhz(config.coupling_mhz),
+            AnharmonicityProfile.from_mhz(config.anharmonicity_mhz),
         )
 
+    protocol = _protocol(config)
     sector = _pick_sector(config)
     basis = build_basis(config.sites, config.levels, sector=sector)
     psi0 = build_product_state(config.initial, basis)
-    drive_f, drive_b = _drive_specs(config)
-
-    if config.mode == "time-reversal":
-        seg_f = Segment(config.forward_ns, coupling, anh, trans, drive=drive_f)
-        segments = (seg_f, reverse_of(seg_f, drive_override=drive_b))
-    else:
-        segments = (Segment(config.duration_ns, coupling, anh, trans, drive=drive_f),)
-    # load_config gives every stroboscopic run a drive with nu > 0
-    protocol = Protocol(
-        segments, sample_dt_ns=drive_f.period_ns if config.stroboscopic else config.dt_ns
-    )
     observe = _observer(config, psi0)
     if config.mode != "one-direction-compare":
         return [observe(t, psi) for t, psi in run_protocol(protocol, psi0)]

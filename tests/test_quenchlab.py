@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from quenchsim import ResourceLimitError, analysis, fidelity, parse_product_state, build_basis
-from quenchsim import propagator
+from quenchsim import fockspace, propagator
 from quenchsim.analysis import SpectrumReport
 from quenchsim.quenchlab import (
     ConfigError,
@@ -29,6 +29,7 @@ from quenchsim.quenchlab import (
     write_spectrum,
 )
 from quenchsim.quenchlab import cli, experiments
+from quenchsim.quenchlab import config as config_module
 from quenchsim.quenchlab.cli import main
 from quenchsim.quenchlab.experiments import _pick_sector
 
@@ -1301,3 +1302,70 @@ dt_ns = 1e12
         with pytest.raises(ResourceLimitError):
             run_experiment(load_config(text))
         assert time.perf_counter() - started < 1.0
+
+    @pytest.fixture
+    def no_basis(self, monkeypatch):
+        """Any basis enumeration fails, so a test sees what loading alone does."""
+        def states(*args):
+            raise AssertionError("a basis was enumerated")
+
+        monkeypatch.setattr(fockspace, "_states", states)
+
+    # each used to load and meet its cap only in run_experiment, after the
+    # basis and the initial state were built (a spectrum's, inside it)
+    WIDE = MINIMAL.replace("sites = 2\nlevels = 2", "sites = 14\nlevels = 3").replace(
+        "initial = 01", "initial = " + "0" * 14) + "\n[profiles]\ntransverse_mhz = 5\n"
+
+    @pytest.mark.parametrize("text,match", [
+        (LONG, "rad"),
+        (WIDE.replace("duration_ns = 20", "duration_ns = 1e12"), "samples"),
+        (WIDE + "[observables]\nobservables = entropy\n", "2187x2187 dense elements"),
+        (SPECTRUM.replace("sites = 4", "sites = 18").replace("particles = 2", "particles = 9"),
+         "dense cap"),
+        (MINIMAL.replace("duration_ns = 20", "duration_ns = 100\ndrive_frequency_mhz = 1e9\n"
+                         "drive_forward_mhz = 200"), "substeps"),
+        (REVERSAL.replace("forward_ns = 20", "forward_ns = 25") + "\n[sampling]\ndt_ns = 1e-9\n",
+         "samples"),
+        (COMPARE.replace("duration_ns = 20", "duration_ns = 25") + "\n[sampling]\ndt_ns = 1e-9\n",
+         "samples"),
+    ], ids=["long-evolution", "wide-long-evolution", "wide-entropy", "dense-spectrum",
+            "drive-substeps", "reversal-schedule", "compare-schedule"])
+    def test_run_caps_fail_in_load_config(self, no_basis, text, match):
+        started = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=match):
+            load_config(text)
+        assert time.perf_counter() - started < 1.0
+
+    def test_sweep_grid_cap(self, tmp_path, capsys):
+        axes = [f"axis_{key} = {', '.join(str(v) for v in range(1, 11))}\n" for key in
+                ("coupling_mhz", "anharmonicity_mhz", "transverse_mhz", "duration_ns", "dt_ns")]
+        text = MINIMAL + "[sweep]\n" + "".join(axes)
+        cfg_path = tmp_path / "grid.cfg"
+        cfg_path.write_text(text)
+        started = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="100000 points"):
+            load_config(text)
+        assert main(["run", "-c", str(cfg_path), "-o", str(tmp_path / "o.csv")]) == 3
+        assert time.perf_counter() - started < 1.0
+        assert "sweep" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg_path]
+        # 10^4 points are at the cap
+        assert len(load_config(MINIMAL + "[sweep]\n" + "".join(axes[:4])).sweep_axes) == 4
+
+    def test_loading_plans_every_preset_point_without_a_basis(self, no_basis, monkeypatch):
+        planned = []
+        plan = config_module._plan
+
+        def counted(protocol, K):
+            planned.append(K)
+            return plan(protocol, K)
+
+        monkeypatch.setattr(config_module, "_plan", counted)
+        loads = 0
+        for name in preset_names():
+            base = preset(name)
+            loads += base.mode != "spectrum"
+            for combo in itertools.product(*base.sweep_axes.values()):
+                config = base.with_overrides(dict(zip(base.sweep_axes, combo)))
+                loads += config.mode != "spectrum"
+        assert len(planned) == loads > 30
