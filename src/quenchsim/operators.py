@@ -35,13 +35,15 @@ time is measured in ns.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
 from .fockspace import MAX_LEVELS, FockBasis
 
@@ -63,6 +65,30 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+
+
+def _load_sparsetools():
+    """scipy's CSR kernels, from the extension file beside ``scipy.sparse``.
+
+    The file is loaded alone: importing the ``scipy.sparse`` package would
+    add about 0.13 s and 20 MB to every run. ImportError names the path
+    when the file is not there.
+    """
+    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    path = os.path.join(root, "sparse", "_sparsetools" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    if not os.path.isfile(path):
+        raise ImportError(f"scipy's CSR kernels are not at {path}", path=path)
+    loader = importlib.machinery.ExtensionFileLoader("scipy.sparse._sparsetools", path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader))
+    loader.exec_module(module)
+    if "scipy.sparse" not in sys.modules:
+        # the extension entered itself in sys.modules, where a later
+        # scipy.sparse import would find it and never bind its attribute
+        sys.modules.pop(loader.name, None)
+    return module
+
+
+_sparsetools = _load_sparsetools()
 
 
 def omega_from_mhz(f_mhz: float) -> float:
@@ -169,25 +195,59 @@ class DriveSpec:
         return len(self.eps)
 
 
+class _CSR:
+    """CSR arrays under scipy's attribute names, which the kernels read."""
+
+    __slots__ = ("data", "indices", "indptr", "shape")
+
+    def __init__(self, data, indices, indptr, shape):
+        self.data, self.indices, self.indptr, self.shape = data, indices, indptr, shape
+
+    @classmethod
+    def of(cls, matrix) -> "_CSR":
+        """Any dense or sparse matrix, as float64 or, if complex, complex128 CSR."""
+        if isinstance(matrix, cls):
+            return matrix
+        import scipy.sparse as sp
+
+        m = sp.csr_matrix(matrix)
+        m = m.astype(np.complex128 if m.dtype.kind == "c" else np.float64, copy=False)
+        return cls(m.data, m.indices, m.indptr, m.shape)
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def scipy(self):
+        """A scipy CSR matrix over these arrays, uncopied."""
+        import scipy.sparse as sp
+
+        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape, copy=False)
+
+
 class SparseOperator:
     """Sparse matrix over a FockBasis with a hermiticity tag.
 
-    The matrix is stored as float64 CSR when its entries are real and as
-    complex128 CSR otherwise. The tag is set by the builders, which emit
-    mirrored entry pairs, so ``hermitian=True`` implies the matrix equals
-    its adjoint exactly (not just to rounding).
+    The matrix is stored as raw float64 CSR arrays when its entries are
+    real and as complex128 ones otherwise; a matrix of any other form is
+    converted. ``matrix`` hands it out as a scipy CSR matrix over the same
+    arrays. The tag is set by the builders, which emit mirrored entry
+    pairs, so ``hermitian=True`` implies the matrix equals its adjoint
+    exactly (not just to rounding).
 
     On a full basis the operator may also hold ``blocks = (H_A, H_B)``, two
     float64 CSR matrices of K**c and K**(L-c) rows, c = L // 2, with no
     diagonal entries; it then stands for ``matrix + H_A (x) 1 + 1 (x) H_B``.
     ``nnz`` counts the entries of all three. Sums carry the blocks, and
     scaling carries them by a real factor and raises on a complex one.
+
+    A real product needs only scipy's CSR kernels. ``matrix``, ``blocks``
+    and all that reads them (``dense``, ``diagonal``, the algebra and a
+    complex product) import ``scipy.sparse`` when called.
     """
 
     def __init__(self, basis: FockBasis, matrix, hermitian: bool, blocks=None):
-        matrix = sp.csr_matrix(matrix)
-        matrix = matrix.astype(np.complex128 if matrix.dtype.kind == "c" else np.float64,
-                               copy=False)
+        matrix = _CSR.of(matrix)
         if matrix.shape != (basis.dim, basis.dim):
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match basis dimension {basis.dim}"
@@ -196,11 +256,22 @@ class SparseOperator:
             rows = tuple(basis.K ** n for n in (basis.L // 2, basis.L - basis.L // 2))
             if basis.sector is not None or tuple(b.shape[0] for b in blocks) != rows:
                 raise ValueError(f"half-chain blocks need the full basis and {rows} rows")
+            blocks = tuple(map(_CSR.of, blocks))
         self.basis = basis
-        self.matrix = matrix
-        self.blocks = blocks
+        self._matrix = matrix
+        self._blocks = blocks
         self.hermitian = bool(hermitian)
         self._scratch = None  # the blocks' transposed plane, made at the first product
+
+    @property
+    def matrix(self):
+        """The CSR part as a scipy matrix over the stored arrays."""
+        return self._matrix.scipy()
+
+    @property
+    def blocks(self):
+        """``(H_A, H_B)`` as scipy matrices over the stored arrays, or None."""
+        return None if self._blocks is None else tuple(b.scipy() for b in self._blocks)
 
     @property
     def dim(self) -> int:
@@ -208,7 +279,7 @@ class SparseOperator:
 
     @property
     def nnz(self) -> int:
-        return self.matrix.nnz + sum(b.nnz for b in self.blocks or ())
+        return self._matrix.nnz + sum(b.nnz for b in self._blocks or ())
 
     def matvec(self, vec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``out += H @ vec`` on planes, or ``H @ vec`` as a new complex vector.
@@ -234,17 +305,17 @@ class SparseOperator:
         if out is None:
             vec = np.array([vec.real, vec.imag], dtype=np.float64)
             planes = np.zeros_like(vec)
-        M = self.matrix
-        if M.dtype.kind == "c":
-            y = M @ (vec[0] + 1j * vec[1])
+        M = self._matrix
+        if M.data.dtype.kind == "c":
+            y = self.matrix @ (vec[0] + 1j * vec[1])
             planes[0] += y.real
             planes[1] += y.imag
         else:
             n = self.dim
             for xp, yp in zip(vec, planes):
                 _sparsetools.csr_matvec(n, n, M.indptr, M.indices, M.data, xp, yp)
-        if self.blocks is not None:
-            A, B = self.blocks
+        if self._blocks is not None:
+            A, B = self._blocks
             a, b = A.shape[0], B.shape[0]
             if self._scratch is None:
                 self._scratch = np.empty((b, a))
@@ -262,8 +333,10 @@ class SparseOperator:
         return y
 
     def dense(self) -> np.ndarray:
-        if self.blocks is None:
+        if self._blocks is None:
             return self.matrix.toarray()
+        import scipy.sparse as sp
+
         A, B = self.blocks
         return (self.matrix + sp.kron(A, sp.identity(B.shape[0]))
                 + sp.kron(sp.identity(A.shape[0]), B)).toarray()
@@ -353,9 +426,8 @@ def _assemble(basis: FockBasis, diag, pairs) -> SparseOperator:
         data[at] = vals
     if not np.array_equal(fill, indptr[:-1]):
         raise ValueError("a row repeats within one term")
-    matrix = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
-    matrix.sort_indices()
-    return SparseOperator(basis, matrix, True)
+    _sparsetools.csr_sort_indices(dim, indptr, indices, data)
+    return SparseOperator(basis, _CSR(data, indices, indptr, (dim, dim)), True)
 
 
 def _hopping_pairs(basis: FockBasis, profile: CouplingProfile) -> list:
@@ -490,20 +562,20 @@ def _hamiltonian(basis: FockBasis, coupling: CouplingProfile,
         raise ValueError(f"transverse profile needs {L} sites, got {len(omega)}")
     c = L // 2
     cut = [Jj if j == c - 1 else 0.0 for j, Jj in enumerate(J)]
-    matrix = _assemble(basis, diag, terms(basis, cut, None)).matrix
+    matrix = _assemble(basis, diag, terms(basis, cut, None))._matrix
     blocks = []
     for lo, hi in ((0, c), (c, L)):
         half = FockBasis(hi - lo, basis.K)
         sites = None if omega is None else omega[lo:hi]
-        blocks.append(_assemble(half, None, terms(half, J[lo:hi - 1], sites)).matrix)
+        blocks.append(_assemble(half, None, terms(half, J[lo:hi - 1], sites))._matrix)
     return SparseOperator(basis, matrix, True, tuple(blocks))
 
 
 def bessel_j0(x: float) -> float:
     """Bessel function of the first kind, order zero: ``scipy.special.j0``.
 
-    Imported on first call, because importing scipy.special adds about
-    0.1 s to the start-up of every run.
+    Imported on first call: in a process that has loaded no other scipy
+    package, importing scipy.special takes about 0.15 s and 23 MB.
     """
     from scipy.special import j0
 

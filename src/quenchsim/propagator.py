@@ -468,14 +468,24 @@ class Protocol:
                     f"sampling every {step:g} ns over {total:g} ns takes {count:.0f} "
                     f"samples, above the cap of {MAX_SAMPLES}"
                 )
-            grid = np.arange(count + 1) * step
-            marks = np.concatenate((marks, np.minimum(grid[grid <= total + 1e-9], total)))
-        marks = sorted(marks.tolist())
-        out = [marks[0]]
-        for t in marks[1:]:
-            if t - out[-1] > 1e-9:
-                out.append(t)
-        return np.asarray(out)
+            grid = np.arange(count + 1)
+            grid *= step
+            grid = grid[grid <= total + 1e-9]
+            marks = np.concatenate((marks, np.minimum(grid, total, out=grid)))
+            del grid  # so that it and the gaps below are not held at once
+        marks.sort()
+        # a mark over 1e-9 ns past the one before it is kept, since the last
+        # kept mark is no later; only within a run of closer marks can a
+        # dropped one decide the next, so only there are marks walked
+        keep = np.empty(marks.size, dtype=bool)
+        keep[0] = True
+        np.greater(np.diff(marks), 1e-9, out=keep[1:])
+        last = marks[0]
+        for i in np.flatnonzero(~keep).tolist():
+            if keep[i - 1]:
+                last = marks[i - 1]
+            keep[i] = marks[i] - last > 1e-9
+        return marks[keep]
 
 
 def default_substep_ns(drive: DriveSpec) -> float:

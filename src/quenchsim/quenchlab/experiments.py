@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,6 +169,8 @@ def run_sweep(config: ExperimentConfig) -> list:
     if workers == 1:
         return [_result(params, lambda: _run_point(config, params, path))
                 for params, path in jobs]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_run_point, config, params, path) for params, path in jobs]
         return [_result(params, fut.result) for params, fut in zip(grid, futures)]

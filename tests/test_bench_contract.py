@@ -154,3 +154,30 @@ def test_driven_propagation_runs_inside_evolve_driven(monkeypatch):
                                    sample_dt_ns=fwd.period_ns / 4)
     psi0 = parse_product_state("+1+0", build_basis(L, 3))
     assert _count_propagation(monkeypatch, "evolve_driven", protocol, psi0) == 16
+
+
+def test_tracer_installs_after_the_package_import():
+    # A traced child imports quenchsim.quenchlab, then runs Tracer.install.
+    # scipy.linalg is then in sys.modules but not yet executed, so the
+    # membership test above cannot tell it from a loaded one: install must
+    # load it and wrap every target.
+    code = f"""
+import importlib.util, json, sys
+import quenchsim.quenchlab
+spec = importlib.util.spec_from_file_location("tracer", {os.path.join(BENCH, "tracer.py")!r})
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+tracer.Tracer().install()
+unwrapped = []
+for module, attr in {[(m, a) for _, m, a in TARGETS]!r}:
+    target = sys.modules[module]
+    for part in attr.split("."):
+        target = getattr(target, part)
+    if not hasattr(target, "__wrapped__"):
+        unwrapped.append(module + ":" + attr)
+print(json.dumps(unwrapped))
+"""
+    src = os.path.join(os.path.dirname(BENCH), "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert json.loads(out.stdout) == []

@@ -636,3 +636,64 @@ class TestHalfChainBlocks:
         with pytest.raises(ValueError, match="half-chain blocks"):
             sector = build_basis(5, 3, sector=2)
             SparseOperator(sector, np.zeros((sector.dim, sector.dim)), True, H.blocks)
+
+
+class TestLoneExtension:
+    """scipy's CSR kernels, loaded from their extension file alone.
+
+    ``operators`` reaches into scipy's file layout, so an upgrade that moves
+    or changes the file fails here rather than in a run.
+    """
+
+    def test_file_beside_scipy_sparse(self):
+        import sysconfig
+
+        import scipy.sparse
+
+        from quenchsim import operators
+
+        path = os.path.join(os.path.dirname(scipy.sparse.__file__),
+                            "_sparsetools" + sysconfig.get_config_var("EXT_SUFFIX"))
+        assert os.path.isfile(path)
+        assert operators._sparsetools.__file__ == path
+
+    def test_missing_file_names_its_path(self, monkeypatch):
+        import importlib.machinery
+
+        from quenchsim import operators
+
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
+        with pytest.raises(ImportError, match=r"sparse.+_sparsetools\.missing\.so"):
+            operators._load_sparsetools()
+
+    def test_scipy_sparse_imported_later_binds_its_extension(self):
+        code = ("import quenchsim, scipy.sparse\n"
+                "print(scipy.sparse._sparsetools.csr_matvec is "
+                "quenchsim.operators._sparsetools.csr_matvec)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=SRC))
+        assert out.stdout.split() == ["True"]
+
+    def test_kernels_match_scipy_sparse(self):
+        import scipy.sparse
+
+        from quenchsim.operators import _sparsetools
+
+        rng = np.random.default_rng(11)
+        n = 400
+        m = scipy.sparse.random(n, n, density=0.03, format="csr", random_state=rng)
+        # shuffle each row's entries, so that there is something to sort
+        order = np.concatenate([lo + rng.permutation(hi - lo)
+                                for lo, hi in zip(m.indptr[:-1], m.indptr[1:])])
+        indptr, indices, data = m.indptr.copy(), m.indices[order], m.data[order]
+        assert not np.array_equal(indices, m.indices)
+        ref =scipy.sparse.csr_matrix((data.copy(), indices.copy(), indptr.copy()), shape=(n, n))
+        ref.has_sorted_indices = False
+        ref.sort_indices()
+        _sparsetools.csr_sort_indices(n, indptr, indices, data)
+        assert indices.tobytes() == ref.indices.tobytes()
+        assert data.tobytes() == ref.data.tobytes()
+        for x in (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+            y = np.zeros(n, dtype=x.dtype)
+            _sparsetools.csr_matvec(n, n, indptr, indices, data, x, y)
+            assert y.tobytes() == (ref @ x).tobytes()

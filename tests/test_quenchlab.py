@@ -6,6 +6,8 @@ import math
 import os
 import pathlib
 import resource
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -828,7 +830,7 @@ path = point.csv
                 fut.set_result(fn(*args))
                 return fut
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         for axis, points in (("4, 16", 2), ("4, 8, 16", 3)):
             cfg = load_config(self.BASE).with_overrides(
@@ -847,6 +849,58 @@ path = point.csv
         assert all(r.error is None for r in results)
         assert len(results) == 3
 
+
+class TestProcessModules:
+    """What one run loads into a fresh process.
+
+    Importing ``scipy.sparse`` or running ``scipy.linalg`` pulls in scipy's
+    array-API layer (``scipy._lib._util``), which imports ``numpy.f2py``:
+    about half of a trajectory run's start-up and a third of its peak
+    memory, for code no trajectory calls.
+    """
+
+    SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    SCIPY = {"scipy.sparse", "scipy._lib._util", "scipy.linalg._decomp", "numpy.f2py"}
+    FULL = MINIMAL + ("[profiles]\ntransverse_mhz = 5\n[observables]\n"
+                      "observables = fidelity, populations, entropy, pauli\n")
+
+    def _run(self, code: str, tmp_path) -> dict:
+        """Run code after the package import in a fresh process; its last line is JSON."""
+        code = ("import json, sys\n"
+                "from quenchsim.quenchlab import load_config, run_experiment, run_sweep, "
+                "write_output\n" + code)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=self.SRC))
+        return json.loads(out.stdout.splitlines()[-1])
+
+    def _modules_after_run(self, text: str, tmp_path) -> set:
+        return set(self._run(
+            f"config = load_config({text!r})\n"
+            "write_output(config, run_experiment(config), 'out.csv')\n"
+            "print(json.dumps(sorted(sys.modules)))\n", tmp_path))
+
+    @pytest.mark.parametrize("text", [REVERSAL, COMPARE, FULL],
+                             ids=["reversal", "compare", "full-basis"])
+    def test_trajectory_run_loads_no_scipy_package(self, text, tmp_path):
+        assert sorted(self._modules_after_run(text, tmp_path) & self.SCIPY) == []
+
+    def test_spectrum_run_loads_linalg(self, tmp_path):
+        assert "scipy.linalg._decomp" in self._modules_after_run(SPECTRUM, tmp_path)
+
+    def test_pool_imported_only_by_a_parallel_sweep(self, tmp_path):
+        # concurrent.futures.process imports multiprocessing, about 11 ms
+        overrides = {"axis_coupling_mhz": "4, 16", "parallelism": "2",
+                     "path": str(tmp_path / "point.csv")}
+        single, errors, pool = self._run(
+            f"config = load_config({TestSweep.BASE!r})\n"
+            "write_output(config, run_experiment(config), 'out.csv')\n"
+            "single = 'concurrent.futures.process' in sys.modules\n"
+            f"errors = [r.error for r in run_sweep(config.with_overrides({overrides!r}))]\n"
+            "print(json.dumps([single, errors, 'concurrent.futures.process' in sys.modules]))\n",
+            tmp_path)
+        assert not single
+        assert errors == [None, None]
+        assert pool == (len(os.sched_getaffinity(0)) > 1)
 
 class TestCli:
     def test_run_and_exit_codes(self, tmp_path, capsys):
