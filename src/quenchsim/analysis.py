@@ -12,11 +12,14 @@ amplitudes into a zero-filled matrix.
 All functions are pure with respect to their inputs and safe to call
 concurrently on shared immutable states.
 
-``scipy.linalg`` is bound as a lazily loaded module: it is registered in
-``sys.modules`` at import, but its code runs at its first attribute
-access, ``sector_spectrum``'s ``eigh``. Running it imports scipy's
-array-API layer, about 0.13 s and 26 MB per process, which no trajectory
-run needs.
+``sector_spectrum`` calls LAPACK's ``dsyevd`` from scipy's ``_flapack``
+extension file, loaded alone at the first solve
+(``operators._lone_extension``): running ``scipy.linalg`` would import
+scipy's array-API layer, ``numpy.f2py`` and ``numpy.testing``, about
+0.13 s and 26 MB per process. ``scipy.linalg`` is still registered in
+``sys.modules`` as a lazily loaded module, whose code runs at its first
+attribute access, for its one reader: the benchmark tracer, which reads
+``sys.modules["scipy.linalg"]`` after the package import.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .operators import (
     AnharmonicityProfile,
     CouplingProfile,
     _hamiltonian,
+    _lone_extension,
     _site_sum,
     _sparsetools,
 )
@@ -57,7 +61,7 @@ def _lazy_module(name: str):
     return sys.modules[name]
 
 
-sla = _lazy_module("scipy.linalg")
+_lazy_module("scipy.linalg")
 
 __all__ = [
     "ResourceLimitError",
@@ -315,6 +319,24 @@ def _check_dense(L: int, K: int, N: int) -> None:
         raise ResourceLimitError(f"sector dimension {dim} exceeds dense cap {MAX_DENSE_DIM}")
 
 
+def _dsyevd_workspace(n: int) -> dict:
+    """``lwork`` and ``liwork`` of ``dsyevd`` for the eigenvectors of an n x n
+    matrix, from the query ``scipy.linalg.eigh`` makes; ValueError if the
+    query fails or a size is beyond 32-bit LAPACK.
+
+    LAPACK forms the sizes in 32-bit integers, which wrap above n = 32,766,
+    so ``MAX_DENSE_DIM`` is what keeps them true.
+    """
+    *sizes, info = _lone_extension("linalg", "_flapack").dsyevd_lwork(
+        n=n, compute_v=1, lower=1)
+    if info != 0:
+        raise ValueError(f"dsyevd workspace query failed: info {info}")
+    sizes = [int(size) for size in sizes]
+    if not all(0 <= size <= np.iinfo(np.int32).max for size in sizes):
+        raise ValueError(f"dsyevd workspace {sizes} is beyond 32-bit LAPACK")
+    return dict(zip(("lwork", "liwork"), sizes))
+
+
 def sector_spectrum(
     L: int,
     N: int,
@@ -328,16 +350,33 @@ def sector_spectrum(
     above ``MAX_DENSE_DIM`` (10^4) ``_check_dense`` raises
     ResourceLimitError, as config loading does. A solve holds 3n^2 doubles:
     the real matrix, which the eigenvectors overwrite, and ``dsyevd``'s
-    workspace of two. That is 96 MB at n = 2002 and 2.4 GB at the cap.
+    workspace, ``lwork`` = 1 + 6n + 2n^2 doubles plus ``liwork`` = 3 + 5n
+    integers. That is 96 MB at n = 2002 and 2.4 GB at the cap.
+
+    The solve is ``scipy.linalg.eigh(dense, overwrite_a=True,
+    driver="evd")`` without ``scipy.linalg``: the same ``dsyevd`` call with
+    the same workspace sizes, so the same bits, and the same checks. A
+    non-finite matrix entry raises ValueError (checked on the sparse
+    entries), as does a workspace beyond 32-bit LAPACK or an illegal
+    argument; a failed solve raises ``numpy.linalg.LinAlgError``.
     """
     _check_dense(L, K, N)
     basis = build_basis(L, K, sector=N)
     M = _hamiltonian(basis, coupling, anharmonicity, None, 1)._matrix
+    if not np.isfinite(M.data).all():
+        raise ValueError("the sector Hamiltonian has a non-finite entry")
     # Fortran order lets dsyevd write the eigenvectors over it, uncopied;
     # M is exactly symmetric, so its rows fill the transposed view
     dense = np.zeros(M.shape, order="F")
     _sparsetools.csr_todense(*M.shape, M.indptr, M.indices, M.data, dense.T)
-    evals, evecs = sla.eigh(dense, overwrite_a=True, driver="evd")
+    n = M.shape[0]
+    evals, evecs, info = _lone_extension("linalg", "_flapack").dsyevd(
+        a=dense, compute_v=1, lower=1, overwrite_a=1, **_dsyevd_workspace(n))
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dsyevd")
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"dsyevd failed on the submatrix at rows {info // (n + 1)} to {info % (n + 1)}")
     w = _anharmonicity_weights(basis)
     a_vals = w @ np.square(evecs, out=evecs)
     attainable = np.unique(w)

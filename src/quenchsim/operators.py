@@ -35,6 +35,7 @@ time is measured in ns.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -67,28 +68,34 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
-def _load_sparsetools():
-    """scipy's CSR kernels, from the extension file beside ``scipy.sparse``.
+@functools.cache
+def _lone_extension(subpackage: str, name: str):
+    """scipy's extension file ``scipy/<subpackage>/<name>``, loaded alone.
 
-    The file is loaded alone: importing the ``scipy.sparse`` package would
-    add about 0.13 s and 20 MB to every run. ImportError names the path
-    when the file is not there.
+    Importing the subpackage would run scipy's array-API layer, about
+    0.13 s and 20-26 MB per process, for a few C or LAPACK routines. A
+    module already in ``sys.modules`` is reused. Otherwise the file is
+    loaded and the entry the extension made for itself is dropped: its
+    package may be registered but not yet run (``analysis`` registers
+    ``scipy.linalg`` lazily), and a later import of the package must load
+    the file as its own child and bind its attribute. ImportError names
+    the path when the file is not there.
     """
+    fullname = f"scipy.{subpackage}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
     root = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    path = os.path.join(root, "sparse", "_sparsetools" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    path = os.path.join(root, subpackage, name + importlib.machinery.EXTENSION_SUFFIXES[0])
     if not os.path.isfile(path):
-        raise ImportError(f"scipy's CSR kernels are not at {path}", path=path)
-    loader = importlib.machinery.ExtensionFileLoader("scipy.sparse._sparsetools", path)
-    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader))
+        raise ImportError(f"scipy's {fullname} is not at {path}", path=path)
+    loader = importlib.machinery.ExtensionFileLoader(fullname, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(fullname, loader))
     loader.exec_module(module)
-    if "scipy.sparse" not in sys.modules:
-        # the extension entered itself in sys.modules, where a later
-        # scipy.sparse import would find it and never bind its attribute
-        sys.modules.pop(loader.name, None)
+    sys.modules.pop(fullname, None)
     return module
 
 
-_sparsetools = _load_sparsetools()
+_sparsetools = _lone_extension("sparse", "_sparsetools")
 
 
 def omega_from_mhz(f_mhz: float) -> float:

@@ -27,6 +27,8 @@ from quenchsim import (
     sector_spectrum,
     site_populations,
 )
+from quenchsim import analysis
+from quenchsim.analysis import MAX_DENSE_DIM
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 PAGE_10 = (10 * math.log(2) - 1) / 2
@@ -354,6 +356,44 @@ class TestSectorSpectrum:
         n, growth = out.stdout.split()
         assert int(n) == 2002
         assert float(growth) <= 3.5
+
+    @pytest.mark.parametrize("L,N,K,j_mhz,u_mhz", [
+        (6, 3, 4, [8.0] * 5, [0.0] * 6),
+        (8, 4, 3, [8.0] * 7, [240.0] * 8),
+        (6, 4, 4, [16.0, 12.0, 19.0, 14.0, 11.0], [212.0, 264.0, 210.0, 251.0, 238.0, 226.0]),
+    ], ids=["degenerate-uniform", "uniform", "generic"])
+    def test_matches_scipy_eigh_bit_for_bit(self, L, N, K, j_mhz, u_mhz):
+        # the solve is scipy.linalg.eigh's evd path without scipy.linalg
+        import scipy.linalg
+
+        cp, up = CouplingProfile.from_mhz(j_mhz), AnharmonicityProfile.from_mhz(u_mhz)
+        rep = sector_spectrum(L, N, K, cp, up)
+        basis = build_basis(L, K, sector=N)
+        dense = (build_hopping(basis, cp) + build_onsite_anharmonicity(basis, up)).dense()
+        evals, evecs = scipy.linalg.eigh(dense, driver="evd")
+        n = basis.states.astype(np.float64)
+        assert rep.eigenvalues.tobytes() == evals.tobytes()
+        assert rep.anharmonicity.tobytes() == ((n * (n - 1.0)).sum(axis=1) @ evecs**2).tobytes()
+        if not any(u_mhz):
+            # free bosons on a uniform chain: sums of single-particle levels coincide
+            assert np.sum(np.diff(evals) < 1e-9) > 0
+
+    @pytest.mark.parametrize("j_mhz,u_mhz", [([math.nan] * 3, [240.0] * 4),
+                                             ([8.0] * 3, [math.inf] * 4)],
+                             ids=["nan-coupling", "inf-anharmonicity"])
+    def test_non_finite_profile_refused(self, j_mhz, u_mhz):
+        # the profiles take any float; config loading refuses these earlier
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            sector_spectrum(4, 2, 3, CouplingProfile.from_mhz(j_mhz),
+                            AnharmonicityProfile.from_mhz(u_mhz))
+
+    def test_workspace_at_the_dense_cap_fits_32_bit_lapack(self):
+        # dsyevd's sizes are exact at the cap, so _check_dense implies a
+        # legal workspace (LAPACK's own 32-bit sums wrap above n = 32,766)
+        n = MAX_DENSE_DIM
+        sizes = analysis._dsyevd_workspace(n)
+        assert sizes == {"lwork": 1 + 6 * n + 2 * n * n, "liwork": 3 + 5 * n}
+        assert max(sizes.values()) <= np.iinfo(np.int32).max
 
     def test_anharmonicity_range_and_bands(self):
         rep = sector_spectrum(

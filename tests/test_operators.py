@@ -639,11 +639,20 @@ class TestHalfChainBlocks:
 
 
 class TestLoneExtension:
-    """scipy's CSR kernels, loaded from their extension file alone.
+    """scipy's CSR kernels and LAPACK wrappers, each loaded from its
+    extension file alone by ``operators._lone_extension``.
 
     ``operators`` reaches into scipy's file layout, so an upgrade that moves
-    or changes the file fails here rather than in a run.
+    or changes a file fails here rather than in a run.
     """
+
+    TRACER = os.path.join(os.path.dirname(SRC), "bench", "tracer.py")
+
+    @staticmethod
+    def _child(code: str) -> list:
+        out = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True,
+                             text=True, check=True, env=dict(os.environ, PYTHONPATH=SRC))
+        return out.stdout.split()
 
     def test_file_beside_scipy_sparse(self):
         import sysconfig
@@ -663,16 +672,67 @@ class TestLoneExtension:
         from quenchsim import operators
 
         monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
-        with pytest.raises(ImportError, match=r"sparse.+_sparsetools\.missing\.so"):
-            operators._load_sparsetools()
+        for subpackage, name in (("sparse", "_sparsetools"), ("linalg", "_flapack")):
+            # uncached, and with no loaded module to reuse
+            monkeypatch.delitem(sys.modules, f"scipy.{subpackage}.{name}", raising=False)
+            with pytest.raises(ImportError, match=rf"{subpackage}.+{name}\.missing\.so"):
+                operators._lone_extension.__wrapped__(subpackage, name)
 
     def test_scipy_sparse_imported_later_binds_its_extension(self):
         code = ("import quenchsim, scipy.sparse\n"
                 "print(scipy.sparse._sparsetools.csr_matvec is "
                 "quenchsim.operators._sparsetools.csr_matvec)")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env=dict(os.environ, PYTHONPATH=SRC))
-        assert out.stdout.split() == ["True"]
+        assert self._child(code) == ["True"]
+
+    def test_flapack_file_beside_scipy_linalg(self):
+        import sysconfig
+
+        import scipy.linalg
+
+        from quenchsim import operators
+
+        path = os.path.join(os.path.dirname(scipy.linalg.__file__),
+                            "_flapack" + sysconfig.get_config_var("EXT_SUFFIX"))
+        assert os.path.isfile(path)
+        assert operators._lone_extension("linalg", "_flapack").__file__ == path
+
+    def test_scipy_linalg_imported_after_a_spectrum_binds_its_extension(self):
+        # the spectrum's lone _flapack leaves no sys.modules entry behind, so
+        # scipy.linalg, run later, loads the file as its own child
+        code = """
+            import sys
+            import numpy as np
+            from quenchsim import AnharmonicityProfile, CouplingProfile, sector_spectrum
+            rep = sector_spectrum(4, 2, 3, CouplingProfile.from_mhz([8.0] * 3),
+                                  AnharmonicityProfile.from_mhz([240.0] * 4))
+            print("scipy.linalg._flapack" in sys.modules)
+            import scipy.linalg
+            print(scipy.linalg._flapack is sys.modules["scipy.linalg._flapack"])
+            a = np.diag([3.0, 1.0, 2.0]) + 0.5
+            w, v = scipy.linalg.eigh(a, driver="evd")
+            print(np.allclose(v @ np.diag(w) @ v.T, a))
+        """
+        assert self._child(code) == ["False", "True", "True"]
+
+    def test_traced_child_reuses_the_loaded_flapack(self):
+        # bench's Tracer.install runs scipy.linalg, which loads _flapack
+        # first; the spectrum that follows must use that module and leave
+        # scipy.linalg's sys.modules entry in place
+        code = f"""
+            import importlib.util, sys
+            import quenchsim.quenchlab
+            from quenchsim import AnharmonicityProfile, CouplingProfile, analysis, operators
+            spec = importlib.util.spec_from_file_location("tracer", {self.TRACER!r})
+            tracer = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(tracer)
+            tracer.Tracer().install()
+            loaded = sys.modules["scipy.linalg._flapack"]
+            analysis.sector_spectrum(4, 2, 3, CouplingProfile.from_mhz([8.0] * 3),
+                                     AnharmonicityProfile.from_mhz([240.0] * 4))
+            print(operators._lone_extension("linalg", "_flapack") is loaded,
+                  sys.modules.get("scipy.linalg._flapack") is loaded)
+        """
+        assert self._child(code) == ["True", "True"]
 
     def test_kernels_match_scipy_sparse(self):
         import scipy.sparse

@@ -8,6 +8,7 @@ import pathlib
 import resource
 import subprocess
 import sys
+import sysconfig
 import time
 
 import numpy as np
@@ -855,8 +856,8 @@ class TestProcessModules:
 
     Importing ``scipy.sparse`` or running ``scipy.linalg`` pulls in scipy's
     array-API layer (``scipy._lib._util``), which imports ``numpy.f2py``:
-    about half of a trajectory run's start-up and a third of its peak
-    memory, for code no trajectory calls.
+    about half of a run's start-up and a third of a trajectory run's peak
+    memory, for code no run calls.
     """
 
     SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
@@ -884,8 +885,41 @@ class TestProcessModules:
     def test_trajectory_run_loads_no_scipy_package(self, text, tmp_path):
         assert sorted(self._modules_after_run(text, tmp_path) & self.SCIPY) == []
 
-    def test_spectrum_run_loads_linalg(self, tmp_path):
-        assert "scipy.linalg._decomp" in self._modules_after_run(SPECTRUM, tmp_path)
+    def test_spectrum_run_loads_flapack_alone(self, tmp_path):
+        # the solve calls dsyevd from scipy's _flapack file; scipy.linalg
+        # stays registered and unexecuted, so none of its other files load
+        modules, linalg_files = self._run(
+            f"config = load_config({SPECTRUM!r})\n"
+            "write_output(config, run_experiment(config), 'out.csv')\n"
+            "import os, scipy\n"
+            "linalg = os.path.join(os.path.dirname(scipy.__file__), 'linalg')\n"
+            "files = {line.split()[-1] for line in open('/proc/self/maps')}\n"
+            "print(json.dumps([sorted(sys.modules), "
+            "sorted(os.path.basename(f) for f in files if os.path.dirname(f) == linalg)]))\n",
+            tmp_path)
+        assert sorted(set(modules) & self.SCIPY) == []
+        assert [m for m in modules if m.startswith("scipy.linalg")] == ["scipy.linalg"]
+        assert linalg_files == ["_flapack" + sysconfig.get_config_var("EXT_SUFFIX")]
+
+    def test_spectrum_peak_over_the_import_floor(self, tmp_path):
+        # The solve holds 3n^2 doubles (the matrix and dsyevd's workspace).
+        # Over the 31 MB import floor a spectrum run at n = 1452 grew VmHWM
+        # by 3n^2 * 8 B + 9.1 MB (one BLAS thread; 9.7 MB unset), and by
+        # + 32 MB when it ran scipy.linalg for the solve.
+        text = SPECTRUM.replace("sites = 4", "sites = 10").replace("particles = 2",
+                                                                  "particles = 5")
+        n, growth = self._run(
+            "def peak():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return next(int(line.split()[1]) * 1024 for line in status\n"
+            "                    if line.startswith('VmHWM:'))\n"
+            "floor = peak()\n"
+            f"config = load_config({text!r})\n"
+            "report = run_experiment(config)\n"
+            "write_output(config, report, 'out.csv')\n"
+            "print(json.dumps([report.dim, peak() - floor]))\n", tmp_path)
+        assert n == 1452
+        assert growth <= 3 * n * n * 8 + 16 * 2**20
 
     def test_pool_imported_only_by_a_parallel_sweep(self, tmp_path):
         # concurrent.futures.process imports multiprocessing, about 11 ms
