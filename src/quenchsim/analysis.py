@@ -322,19 +322,19 @@ def _check_dense(L: int, K: int, N: int) -> None:
 def _dsyevd_workspace(n: int) -> dict:
     """``lwork`` and ``liwork`` of ``dsyevd`` for the eigenvectors of an n x n
     matrix, from the query ``scipy.linalg.eigh`` makes; ValueError if the
-    query fails or a size is beyond 32-bit LAPACK.
+    query fails or the workspace is beyond 32-bit LAPACK.
 
-    LAPACK forms the sizes in 32-bit integers, which wrap above n = 32,766,
-    so ``MAX_DENSE_DIM`` is what keeps them true.
+    The query's 32-bit sums wrap silently above n = 32,766, so the bound is
+    checked first, on the minimum ``lwork`` 1 + 6n + 2n^2 in Python integers.
     """
+    lwork = 1 + 6 * n + 2 * n * n
+    if lwork > np.iinfo(np.int32).max:
+        raise ValueError(f"dsyevd workspace of {lwork} doubles is beyond 32-bit LAPACK")
     *sizes, info = _lone_extension("linalg", "_flapack").dsyevd_lwork(
         n=n, compute_v=1, lower=1)
     if info != 0:
         raise ValueError(f"dsyevd workspace query failed: info {info}")
-    sizes = [int(size) for size in sizes]
-    if not all(0 <= size <= np.iinfo(np.int32).max for size in sizes):
-        raise ValueError(f"dsyevd workspace {sizes} is beyond 32-bit LAPACK")
-    return dict(zip(("lwork", "liwork"), sizes))
+    return dict(zip(("lwork", "liwork"), map(int, sizes)))
 
 
 def sector_spectrum(

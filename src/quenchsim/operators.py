@@ -168,7 +168,7 @@ class DriveSpec:
     nu: float
 
     def __post_init__(self):
-        if any(e != 0 for e in self.eps) and not self.nu > 0:
+        if self.is_active() and not self.nu > 0:
             raise ValueError("drive frequency must be positive when any amplitude is nonzero")
 
     @classmethod

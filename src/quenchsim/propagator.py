@@ -2,10 +2,11 @@
 
 Every exponential ``exp(-i H dt) psi`` goes through ``_Krylov``, one Lanczos
 core on numpy, whose basis is one array of float64 real and imaginary
-planes that the operator adds its products into, with a local re-pass, a
-gated a-posteriori residual estimate and Expokit-style step control, at
-``DEFAULT_TOL``, ``DEFAULT_KRYLOV_DIM`` and ``MAX_HALVINGS``. The module
-calls no BLAS but numpy's, the library of ``_finish`` and the observables.
+planes that the operator adds its products into, with the bare three-term
+recurrence (no reorthogonalization), a gated a-posteriori residual estimate
+and Expokit-style step control, at ``DEFAULT_TOL``, ``DEFAULT_KRYLOV_DIM``
+and ``MAX_HALVINGS``. The module calls no BLAS but numpy's, the library of
+``_finish`` and the observables.
 Sinusoidally driven Hamiltonians are integrated with fourth-order
 commutator-free substeps (two Gauss nodes per substep) of
 ``default_substep_ns`` (T/64); one basis object serves every exponential of
@@ -117,8 +118,9 @@ class _Krylov:
     Hermitian H, complex Lanczos is real Lanczos on the planes, with the
     same alpha and beta. ``matvec(x, out)`` adds H x into ``out``, both
     ``(2, n)`` planes (``SparseOperator.matvec``'s out form), so the next
-    row is seeded with ``-beta V[k-1]`` and the product lands in it: the
-    residual is that row, and only the last row's residual is a transient.
+    row is seeded with ``-beta V[k-1]`` and the product lands in it; taking
+    off ``alpha V[k]`` leaves the residual there, with no other pass over the
+    rows, and only the last row's residual is a transient.
     Pages are touched only as rows are written, so a basis that certifies
     at k rows holds k of them; on the full basis these rows, not operator
     assembly, set a run's peak memory. Every BLAS call goes through numpy,
@@ -160,24 +162,19 @@ class _Krylov:
         else:
             w.fill(0.0)
         self.matvec(x, w)
-        # w = H x - b V[k-1]; taking off a x completes the three-term step.
-        # Then one re-pass against the two vectors the recurrence used, not
-        # the whole basis: for exp(-i h H) psi the three-term recurrence stays
-        # accurate (Druskin, Greenbaum & Knizhnerman 1998). Full 30-vector
-        # bases on dimensions 50 and 55 at 50-500 ns, where Ritz values
-        # converge and |V^H V - I| reaches 0.4, stay within 1.3e-11 of dense
-        # propagation with norm drift below 3e-15 (tests/test_propagator.py).
-        # Each plane is updated on its own, so no temporary is larger than
-        # one plane.
+        # w = H x - b V[k-1]; taking off a x completes the three-term step,
+        # which runs alone, with no reorthogonalization: for exp(-i h H) psi
+        # the three-term recurrence stays accurate (Druskin, Greenbaum &
+        # Knizhnerman 1998). Full 30-vector bases on dimensions 50 and 55 at
+        # 50-500 ns, where Ritz values converge and |V^H V - I| reaches 0.4,
+        # stay within 1.3e-11 of dense propagation with norm drift below
+        # 3e-15 (tests/test_propagator.py). Each plane is updated on its
+        # own, so no temporary is larger than one plane.
         wf = w.reshape(-1)
         a = x.reshape(-1) @ wf
         self.alpha[k] = a
         for xp, wp in zip(x, w):
             wp -= a * xp
-        rows = V[max(k - 1, 0):k + 1]
-        c = rows.reshape(rows.shape[0], -1) @ wf
-        for p, wp in enumerate(w):
-            wp -= c @ rows[:, p]
         self.b = math.sqrt(wf @ wf)
         self.k = k + 1
         if self.b >= 1e-14:

@@ -395,6 +395,18 @@ class TestSectorSpectrum:
         assert sizes == {"lwork": 1 + 6 * n + 2 * n * n, "liwork": 3 + 5 * n}
         assert max(sizes.values()) <= np.iinfo(np.int32).max
 
+    @pytest.mark.parametrize("n", [32_767, 40_000])
+    def test_workspace_past_32_bit_lapack_refused(self, n):
+        # LAPACK's query wraps here (1,114,078 and 1,360,000 doubles), a
+        # size that would pass a bound checked on its answer
+        with pytest.raises(ValueError, match="beyond 32-bit LAPACK"):
+            analysis._dsyevd_workspace(n)
+
+    def test_workspace_at_the_32_bit_edge_is_exact(self):
+        n = 32_766  # a query only: nothing of this size is allocated
+        assert analysis._dsyevd_workspace(n) == {"lwork": 1 + 6 * n + 2 * n * n,
+                                                 "liwork": 3 + 5 * n}
+
     def test_anharmonicity_range_and_bands(self):
         rep = sector_spectrum(
             3, 2, 3, CouplingProfile.from_mhz([8.0, 8.0]),

@@ -22,14 +22,19 @@ from quenchsim.quenchlab import experiments, load_config
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", os.path.join(BENCH, "tracer.py"))
+def _bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  os.path.join(BENCH, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    sys.modules[spec.name] = module  # a dataclass looks its module up while it is made
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
     return module
 
 
-SPANS = _tracer().SPANS
+SPANS = _bench_module("tracer").SPANS
 TARGETS = [(span, module, attr) for span, targets in SPANS.items() for module, attr in targets]
 
 
@@ -67,6 +72,25 @@ def test_traced_argument_names_exist():
         assert "dt_ns" in params or {"t0_ns", "t1_ns"} <= set(params), attr
     for module, attr in SPANS["quenchlab.records.write"]:
         assert "path" in inspect.signature(_resolve(module, attr)).parameters, attr
+
+
+@pytest.mark.parametrize("name", ["reversal-full", "compare-transverse", "spectrum-k6"])
+def test_seed0_output_passes_the_bench_gate(name, tmp_path, monkeypatch):
+    # the benchmark's correctness gate, run in-process: a numeric change
+    # must keep each workload within 1e-7 (fidelity, populations) or 1e-9
+    # rad/ns (eigenvalues) of bench/reference/, as every bench run checks
+    from quenchsim.quenchlab import run_experiment, write_output
+    from quenchsim.quenchlab.presets import preset_text
+
+    workloads, gate = _bench_module("workloads"), _bench_module("gate")
+    workload = workloads.WORKLOADS[name]
+    text = workloads.config_text(preset_text(workload.preset), workload, 0)
+    monkeypatch.setenv("QUENCHSIM_OUTDIR", str(tmp_path))
+    config = load_config(text)
+    result = run_experiment(config)
+    path = write_output(config, result)
+    summary = _bench_module("child")._summary(result)
+    assert gate.check(summary, path, text, os.path.join(BENCH, "reference", f"{name}.csv")) == []
 
 
 def test_child_hooks_exist():

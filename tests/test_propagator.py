@@ -213,8 +213,8 @@ class TestEvolveStatic:
         return basis, H
 
     # Long single steps on small bases: the 30-vector basis outgrows the
-    # dimension the start vector reaches, Ritz values converge and the local
-    # re-pass lets orthogonality go, yet f(A)b stays accurate.
+    # dimension the start vector reaches, Ritz values converge and the bare
+    # three-term recurrence lets orthogonality go, yet f(A)b stays accurate.
     @pytest.mark.parametrize("L,N,state,t", [
         (10, 2, "0001001000", 50.0),
         (10, 2, "0001001000", 500.0),
@@ -985,6 +985,49 @@ def dense_samples(proto, psi0):
                 for t in times if start + 1e-9 < t <= end + 1e-9]
         start = end
     return out
+
+
+class TestSignFlipReversalIdentity:
+    """Full-size oracle for the undriven sign-flip reversal.
+
+    With S = (-1)^(n_1 + n_3 + ...), the sign of one sublattice, every hop
+    changes one odd site by one, so S H(J, U) S = H(-J, U) on any basis.
+    Every stored H is real, so for a real psi0 the reversal's fidelity at
+    t_f + s is |g(s)^T S psi(t_f)|^2, with g(s) = exp(-iHs) S psi0 and no
+    complex conjugate. For a Fock state g = +-psi, so the forward leg alone
+    gives every backward sample. This pins ``reverse_of``'s sign, the
+    backward segment's assembly, the shared-basis resumption and the
+    schedule at the dimensions the presets run.
+    """
+
+    @pytest.mark.parametrize("state,sector", [
+        ("++++++++++", range(0, 11)),  # dim 34,001
+        ("0001111000", None),  # full basis, dim 59,049: split half-chain storage
+        ("++++++++++", None),
+    ])
+    def test_backward_samples_match_forward_identity(self, state, sector):
+        from quenchsim.quenchlab import TABLE_S1_U_MHZ
+
+        L, t_f, dt = 10, 10.0, 0.5
+        basis = build_basis(L, 3, sector=sector)
+        seg = Segment(t_f, CouplingProfile.from_mhz([16.0] * (L - 1)),
+                      AnharmonicityProfile.from_mhz(TABLE_S1_U_MHZ))
+        psi0 = parse_product_state(state, basis)
+        S = (-1.0) ** basis.states[:, 1::2].sum(axis=1)
+        proto = Protocol((seg, reverse_of(seg)), sample_dt_ns=dt)
+        pairs = list(run_protocol(proto, psi0))
+        n = int(round(t_f / dt))
+        assert len(pairs) == 2 * n + 1
+        forward = [p.amplitudes for _, p in pairs[:n + 1]]
+        if "+" in state:
+            g = [p.amplitudes for _, p in run_protocol(
+                Protocol((seg,), sample_dt_ns=dt), StateVector(basis, S * psi0.amplitudes))]
+        else:
+            g = forward  # S psi0 = +-psi0, and the sign drops out of |.|^2
+        s_psi_tf = S * forward[n]
+        worst = max(abs(fidelity(psi0, p) - abs(g[i] @ s_psi_tf) ** 2)
+                    for i, (_, p) in enumerate(pairs[n + 1:], start=1))
+        assert worst < 1e-12
 
 
 class TestSampledSegment:
