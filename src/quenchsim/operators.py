@@ -13,11 +13,11 @@ counts each row's entries and scatters every term straight into the CSR
 arrays. ``Segment.static_hamiltonian`` passes all of its terms in one call,
 so a Hamiltonian is built without per-term matrices or summed copies.
 
-Every term has real matrix elements in the Fock basis, so every operator
-built here is real symmetric and stored as float64 CSR. ``SparseOperator``
-has one product, which applies a real matrix to a complex state as two real
-products, one on its real and one on its imaginary plane: bit for bit the
-complex product, at half the stored bytes.
+Every term has real matrix elements in the Fock basis, so an operator is
+one real matrix, stored as float64 CSR (a complex one is refused), whose
+``hermitian`` flag is measured. ``SparseOperator`` has one product, which
+applies it to a complex state as two real products, one per plane: bit for
+bit the complex product, at half the stored bytes.
 
 ``_hamiltonian`` decides how a segment's Hamiltonian is stored. The full
 basis of L >= 2 sites is a tensor product, so at the half-chain cut
@@ -203,23 +203,27 @@ class DriveSpec:
 
 
 class _CSR:
-    """CSR arrays under scipy's attribute names, which the kernels read."""
+    """CSR arrays under scipy's attribute names, which the kernels read, and their symmetry."""
 
-    __slots__ = ("data", "indices", "indptr", "shape")
+    __slots__ = ("data", "indices", "indptr", "shape", "symmetric")
 
-    def __init__(self, data, indices, indptr, shape):
+    def __init__(self, data, indices, indptr, shape, symmetric: bool):
         self.data, self.indices, self.indptr, self.shape = data, indices, indptr, shape
+        self.symmetric = symmetric
 
     @classmethod
     def of(cls, matrix) -> "_CSR":
-        """Any dense or sparse matrix, as float64 or, if complex, complex128 CSR."""
+        """A real dense or sparse matrix as float64 CSR, compared with its transpose exactly."""
         if isinstance(matrix, cls):
             return matrix
         import scipy.sparse as sp
 
         m = sp.csr_matrix(matrix)
-        m = m.astype(np.complex128 if m.dtype.kind == "c" else np.float64, copy=False)
-        return cls(m.data, m.indices, m.indptr, m.shape)
+        if m.dtype.kind == "c":
+            raise ValueError(f"operators are real; got a {m.dtype} matrix")
+        m = m.astype(np.float64, copy=False)
+        symmetric = m.shape[0] == m.shape[1] and (m != m.T).nnz == 0
+        return cls(m.data, m.indices, m.indptr, m.shape, symmetric)
 
     @property
     def nnz(self) -> int:
@@ -233,41 +237,42 @@ class _CSR:
 
 
 class SparseOperator:
-    """Sparse matrix over a FockBasis with a hermiticity tag.
+    """A real sparse matrix over a FockBasis.
 
-    The matrix is stored as raw float64 CSR arrays when its entries are
-    real and as complex128 ones otherwise; a matrix of any other form is
-    converted. ``matrix`` hands it out as a scipy CSR matrix over the same
-    arrays. The tag is set by the builders, which emit mirrored entry
-    pairs, so ``hermitian=True`` implies the matrix equals its adjoint
-    exactly (not just to rounding).
+    The matrix is stored as raw float64 CSR arrays; a real matrix of any
+    other form is converted, and a complex one raises ValueError.
+    ``matrix`` hands it out as a scipy CSR matrix over the same arrays.
+    ``hermitian`` is measured: True when every stored part equals its
+    transpose exactly (not just to rounding). A part that enters as a dense
+    array or scipy matrix is compared entry for entry; the builders' parts
+    are symmetric by construction, since ``_assemble`` writes mirrored pairs.
 
     On a full basis the operator may also hold ``blocks = (H_A, H_B)``, two
-    float64 CSR matrices of K**c and K**(L-c) rows, c = L // 2, with no
+    square float64 CSR matrices of K**c and K**(L-c) rows, c = L // 2, with no
     diagonal entries; it then stands for ``matrix + H_A (x) 1 + 1 (x) H_B``.
     ``nnz`` counts the entries of all three. Sums carry the blocks, and
-    scaling carries them by a real factor and raises on a complex one.
+    scaling carries them; a factor with a nonzero imaginary part raises.
 
-    A real product needs only scipy's CSR kernels. ``matrix``, ``blocks``
-    and all that reads them (``dense``, ``diagonal``, the algebra and a
-    complex product) import ``scipy.sparse`` when called.
+    A product needs only scipy's CSR kernels. ``matrix``, ``blocks`` and all
+    that reads them (``dense``, ``diagonal`` and the algebra), and a matrix
+    that enters in any form but the builders', import ``scipy.sparse``.
     """
 
-    def __init__(self, basis: FockBasis, matrix, hermitian: bool, blocks=None):
+    def __init__(self, basis: FockBasis, matrix, blocks=None):
         matrix = _CSR.of(matrix)
         if matrix.shape != (basis.dim, basis.dim):
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match basis dimension {basis.dim}"
             )
         if blocks is not None:
-            rows = tuple(basis.K ** n for n in (basis.L // 2, basis.L - basis.L // 2))
-            if basis.sector is not None or tuple(b.shape[0] for b in blocks) != rows:
-                raise ValueError(f"half-chain blocks need the full basis and {rows} rows")
+            shapes = tuple((basis.K ** n,) * 2 for n in (basis.L // 2, basis.L - basis.L // 2))
+            if basis.sector is not None or tuple(b.shape for b in blocks) != shapes:
+                raise ValueError(f"half-chain blocks need the full basis and shapes {shapes}")
             blocks = tuple(map(_CSR.of, blocks))
         self.basis = basis
         self._matrix = matrix
         self._blocks = blocks
-        self.hermitian = bool(hermitian)
+        self.hermitian = all(m.symmetric for m in (matrix, *(blocks or ())))
         self._scratch = None  # the blocks' transposed plane, made at the first product
 
     @property
@@ -298,9 +303,8 @@ class SparseOperator:
         ``out``, ``vec`` is copied into planes, the product is added into
         zeroed ones, and a new complex128 vector is returned.
 
-        A real matrix goes through scipy's ``csr_matvec`` kernels, which add
-        into their output, one plane at a time; a complex one, which only
-        tests build, takes a plain complex product. ``H_A`` adds ``H_A @ X``
+        Every part goes through scipy's ``csr_matvec`` kernels, which add
+        into their output, one plane at a time. ``H_A`` adds ``H_A @ X``
         with ``X`` the plane as a ``(K**c, K**(L-c))`` array. ``H_B`` adds
         ``(H_B @ X.T).T`` in the transposed frame: the plane's partial sum
         moves into a ``(K**(L-c), K**c)`` scratch, the plane holds ``X.T``
@@ -312,15 +316,9 @@ class SparseOperator:
         if out is None:
             vec = np.array([vec.real, vec.imag], dtype=np.float64)
             planes = np.zeros_like(vec)
-        M = self._matrix
-        if M.data.dtype.kind == "c":
-            y = self.matrix @ (vec[0] + 1j * vec[1])
-            planes[0] += y.real
-            planes[1] += y.imag
-        else:
-            n = self.dim
-            for xp, yp in zip(vec, planes):
-                _sparsetools.csr_matvec(n, n, M.indptr, M.indices, M.data, xp, yp)
+        M, n = self._matrix, self.dim
+        for xp, yp in zip(vec, planes):
+            _sparsetools.csr_matvec(n, n, M.indptr, M.indices, M.data, xp, yp)
         if self._blocks is not None:
             A, B = self._blocks
             a, b = A.shape[0], B.shape[0]
@@ -365,8 +363,7 @@ class SparseOperator:
         blocks = self.blocks or other.blocks
         if self.blocks is not None and other.blocks is not None:
             blocks = tuple(a + b for a, b in zip(self.blocks, other.blocks))
-        return SparseOperator(self.basis, self.matrix + other.matrix,
-                              self.hermitian and other.hermitian, blocks)
+        return SparseOperator(self.basis, self.matrix + other.matrix, blocks)
 
     def __sub__(self, other: "SparseOperator") -> "SparseOperator":
         return self + (-other)
@@ -376,12 +373,10 @@ class SparseOperator:
 
     def __mul__(self, scalar) -> "SparseOperator":
         scalar = complex(scalar)
-        real = scalar.imag == 0
-        if not real and self.blocks is not None:
-            raise ValueError("half-chain blocks are real; scale them by a real factor")
-        factor = scalar.real if real else scalar
-        blocks = None if self.blocks is None else tuple(b * factor for b in self.blocks)
-        return SparseOperator(self.basis, self.matrix * factor, self.hermitian and real, blocks)
+        if scalar.imag != 0:
+            raise ValueError("operators are real; scale them by a real factor")
+        blocks = None if self.blocks is None else tuple(b * scalar.real for b in self.blocks)
+        return SparseOperator(self.basis, self.matrix * scalar.real, blocks)
 
     __rmul__ = __mul__
 
@@ -434,7 +429,7 @@ def _assemble(basis: FockBasis, diag, pairs) -> SparseOperator:
     if not np.array_equal(fill, indptr[:-1]):
         raise ValueError("a row repeats within one term")
     _sparsetools.csr_sort_indices(dim, indptr, indices, data)
-    return SparseOperator(basis, _CSR(data, indices, indptr, (dim, dim)), True)
+    return SparseOperator(basis, _CSR(data, indices, indptr, (dim, dim), symmetric=True))
 
 
 def _hopping_pairs(basis: FockBasis, profile: CouplingProfile) -> list:
@@ -575,7 +570,7 @@ def _hamiltonian(basis: FockBasis, coupling: CouplingProfile,
         half = FockBasis(hi - lo, basis.K)
         sites = None if omega is None else omega[lo:hi]
         blocks.append(_assemble(half, None, terms(half, J[lo:hi - 1], sites))._matrix)
-    return SparseOperator(basis, matrix, True, tuple(blocks))
+    return SparseOperator(basis, matrix, tuple(blocks))
 
 
 def bessel_j0(x: float) -> float:

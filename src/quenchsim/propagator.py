@@ -115,12 +115,13 @@ class _Krylov:
     The rows live in one ``(DEFAULT_KRYLOV_DIM, 2, n)`` float64 array from
     ``np.empty``, each the real and the imaginary plane of one Lanczos
     vector, made at the first start and reused by every rebuild. For a
-    Hermitian H, complex Lanczos is real Lanczos on the planes, with the
-    same alpha and beta. ``matvec(x, out)`` adds H x into ``out``, both
-    ``(2, n)`` planes (``SparseOperator.matvec``'s out form), so the next
-    row is seeded with ``-beta V[k-1]`` and the product lands in it; taking
-    off ``alpha V[k]`` leaves the residual there, with no other pass over the
-    rows, and only the last row's residual is a transient.
+    Hermitian H, real symmetric as every ``SparseOperator`` is or complex
+    and applied plane by plane, complex Lanczos is real Lanczos on the
+    planes, with the same alpha and beta. ``matvec(x, out)`` adds H x into
+    ``out``, both ``(2, n)`` planes (``SparseOperator.matvec``'s out form),
+    so the next row is seeded with ``-beta V[k-1]`` and the product lands
+    in it; taking off ``alpha V[k]`` leaves the residual there, with no
+    other pass over the rows, and only the last row's residual is a transient.
     Pages are touched only as rows are written, so a basis that certifies
     at k rows holds k of them; on the full basis these rows, not operator
     assembly, set a run's peak memory. Every BLAS call goes through numpy,
@@ -276,8 +277,9 @@ def _finish(basis: FockBasis, raw: np.ndarray) -> StateVector:
 def evolve_static(H: SparseOperator, psi: StateVector, dt_ns: float, _krylov=None) -> StateVector:
     """Apply ``exp(-i H dt)`` to a state via adaptive Lanczos.
 
-    H must carry the hermitian tag and live on the state's basis. Bases hold
-    at most ``DEFAULT_KRYLOV_DIM`` vectors. The returned state has unit norm;
+    H must be Hermitian, as ``SparseOperator`` measures, and live on the
+    state's basis, or ValueError is raised before any step. Bases hold at
+    most ``DEFAULT_KRYLOV_DIM`` vectors. The returned state has unit norm;
     a pre-normalization drift above 1e-8 raises NumericsError rather than
     being silently absorbed, and so does a step that would need sub-steps
     shorter than dt / 2**MAX_HALVINGS; a non-finite dt raises ValueError.
@@ -329,8 +331,9 @@ def evolve_driven(
     at a time by ``operators._site_sum``. One basis object
     serves every exponential of the call: its matvec reads the current
     ``gamma d`` and adds ``gamma d x`` into the row plane by plane, through
-    one plane-sized buffer. Non-finite times raise ValueError, and more than
-    ``MAX_SUBSTEPS`` substeps raise ResourceLimitError, before any step.
+    one plane-sized buffer. A non-Hermitian H_static or non-finite times
+    raise ValueError, and more than ``MAX_SUBSTEPS`` substeps raise
+    ResourceLimitError, before any step.
     """
     if not H_static.hermitian:
         raise ValueError("static part must be Hermitian")
@@ -349,7 +352,7 @@ def evolve_driven(
         return psi.copy()
     nsub = _substeps(span, dt_sub_ns)
     if nsub > MAX_SUBSTEPS:
-        raise ResourceLimitError(f"{span:g} ns takes {nsub:.0f} substeps of {dt_sub_ns:g} ns, "
+        raise ResourceLimitError(f"{span:g} ns takes {nsub:.3g} substeps of {dt_sub_ns:g} ns, "
                                  f"above the cap of {MAX_SUBSTEPS}")
     d = _site_sum(psi.basis, drive.eps, _LEVELS)
     nu = drive.nu
@@ -462,7 +465,7 @@ class Protocol:
             count = (total + 1e-9) // step + 1
             if count > MAX_SAMPLES:
                 raise ResourceLimitError(
-                    f"sampling every {step:g} ns over {total:g} ns takes {count:.0f} "
+                    f"sampling every {step:g} ns over {total:g} ns takes {count:.3g} "
                     f"samples, above the cap of {MAX_SAMPLES}"
                 )
             grid = np.arange(count + 1)
@@ -529,7 +532,7 @@ def _plan(protocol: Protocol, K: int):
                    .sum() for seg, start, ts, _ in plan if seg.drive is not None)
     if substeps > MAX_SUBSTEPS:
         raise ResourceLimitError(
-            f"the driven segments take {substeps:.0f} substeps of T/{SUBSTEPS_PER_PERIOD}, "
+            f"the driven segments take {substeps:.3g} substeps of T/{SUBSTEPS_PER_PERIOD}, "
             f"above the cap of {MAX_SUBSTEPS}"
         )
     phase = sum(seg.duration_ns * 2.0 * _norm_bound(seg, K) for seg in protocol.segments)

@@ -3,8 +3,8 @@
 Subcommands: ``run`` a config file or a named figure preset, ``preset`` to
 print a preset, and ``spectrum`` for number-sector eigenvalues. A config
 with sweep axes runs every point of its sweep. Exit codes: 0 success, 2
-validation error or an output file that cannot be written, 3 numerics or
-resource error.
+validation error or an output file that cannot be written, 3 numerics
+(``numpy.linalg.LinAlgError`` included) or resource error.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+
+from numpy.linalg import LinAlgError
 
 from ..analysis import ResourceLimitError
 from ..operators import mhz_from_omega
@@ -124,13 +126,10 @@ def main(argv=None) -> int:
             sys.stdout.write(preset_text(args.name))
             return 0
         return _cmd_spectrum(args)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NumericsError, ResourceLimitError) as exc:
+    except (NumericsError, ResourceLimitError, LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:  # an output file that cannot be written
+    except (ConfigError, ValueError, OSError) as exc:  # OSError: an unwritable output file
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -143,7 +143,7 @@ def _tokens(text: str) -> str:
 
 
 def _amplitude_pair(text: str) -> dict:
-    """``amp0, amp1``: the complex amplitudes of levels 0 and 1 of one site."""
+    """``amp0, amp1``: finite complex amplitudes of levels 0 and 1 of one site, not both 0."""
     parts = [part.strip() for part in text.split(",")]
     if len(parts) != 2:
         raise ValueError("expected 'amp0, amp1'")
@@ -153,6 +153,8 @@ def _amplitude_pair(text: str) -> dict:
         raise ValueError(f"bad complex amplitude {text!r}") from None
     if not all(cmath.isfinite(amp) for amp in pair.values()):
         raise ValueError(f"expected finite amplitudes, got {text!r}")
+    if not any(pair.values()):
+        raise ValueError(f"expected a nonzero amplitude, got {text!r}")
     return pair
 
 

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.special
 
 from quenchsim import (
@@ -304,8 +305,8 @@ class TestSparseOperatorAlgebra:
         A = build_hopping(basis, CouplingProfile.from_mhz([10.0]))
         assert (-1.0 * A).hermitian
         assert (-1.0 * A).matrix.dtype == np.float64
-        assert not (1j * A).hermitian
-        assert (1j * A).matrix.dtype == np.complex128
+        with pytest.raises(ValueError, match="real factor"):
+            1j * A
 
     def test_mismatched_bases_rejected(self):
         A = build_hopping(build_basis(2, 2), CouplingProfile.from_mhz([10.0]))
@@ -405,13 +406,11 @@ class TestOnePassAssembly:
         tp = self.tp if kind == "full" else None
         H = Segment(1.0, self.cp, self.up, tp, sign=-1).static_hamiltonian(basis)
         assert (H.blocks is not None) == (kind == "full")
-        R = SparseOperator(basis, H.matrix, hermitian=True)  # the CSR part alone
-        C = SparseOperator(basis, H.matrix.astype(np.complex128), hermitian=True)
-        assert C.matrix.dtype == np.complex128  # complex entries keep complex storage
+        R = SparseOperator(basis, H.matrix)  # the CSR part alone
+        C = H.matrix.astype(np.complex128)  # scipy's complex product of the same entries
         v = random_state(basis, 5).amplitudes
-        assert np.array_equal(R.matvec(v), C.matvec(v))
-        assert np.array_equal(R.matvec(v), C.matrix @ v)
-        assert R.expectation(v) == C.expectation(v)
+        assert np.array_equal(R.matvec(v), C @ v)
+        assert R.expectation(v) == complex(np.vdot(v, C @ v)).real
         assert np.array_equal(H.matvec(v), H.matvec(v.real) + 1j * H.matvec(v.imag))
 
     def test_assembly_memory(self):
@@ -531,44 +530,69 @@ class TestPlanarMatvec:
         assert not np.allclose(out, ref, rtol=0, atol=1e-3)
 
     def test_complex_matrix_fallback(self):
-        # A complex matrix takes a plain complex product. The real kernels,
-        # which add into their output, must match that fallback on the same
-        # entries: this pins scipy's csr_matvec/csr_matvecs accumulate
-        # contract against an upgrade.
+        # The real kernels, which add into their output, must match a plain
+        # complex product of the same entries, added onto the same planes:
+        # this pins scipy's csr_matvec/csr_matvecs accumulate contract
+        # against an upgrade.
         basis = build_basis(4, 3, sector=2)
         rng = np.random.default_rng(3)
-        m = rng.normal(size=(basis.dim,) * 2) + 1j * rng.normal(size=(basis.dim,) * 2)
+        m = rng.normal(size=(basis.dim,) * 2)
         m[rng.random(m.shape) < 0.7] = 0.0
-        C = SparseOperator(basis, m + m.conj().T, hermitian=True)
+        R = SparseOperator(basis, m + m.T)
         v = random_state(basis, 4).amplitudes
         out = self._planes(random_state(basis, 5).amplitudes)
-        expected = out + self._planes(C.matrix @ v)
-        C.matvec(self._planes(v), out)
+        expected = out + self._planes((m + m.T).astype(np.complex128) @ v)
+        R.matvec(self._planes(v), out)
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-13)
         for kind in self.KINDS:
             _, H = self._case(4, kind)
             v = random_state(H.basis, 6).amplitudes
             start = self._planes(random_state(H.basis, 9).amplitudes)
-            C = SparseOperator(H.basis, H.dense().astype(np.complex128), hermitian=True)
-            real, fallback = start.copy(), start.copy()
+            real = start.copy()
             H.matvec(self._planes(v), real)
-            C.matvec(self._planes(v), fallback)
+            fallback = start + self._planes(H.dense().astype(np.complex128) @ v)
             np.testing.assert_allclose(real, fallback, rtol=0, atol=1e-14)
 
-    def test_complex_matrix_keeps_blocks(self):
-        # a complex operator added to a split Hamiltonian carries its blocks,
-        # and both forms must apply them after the complex product
+    @pytest.mark.parametrize("form", ["dense", "sparse"])
+    def test_complex_matrix_refused(self, form):
+        # an operator is one real matrix: complex storage and complex
+        # factors are refused, on plain and split operators alike, even
+        # when every imaginary part is zero
         basis, H = self._case(4, "full")
-        rng = np.random.default_rng(1)
-        m = 1j * rng.normal(size=(basis.dim,) * 2)
-        C = SparseOperator(basis, m + m.conj().T, hermitian=True) + H
-        assert C.matrix.dtype == np.complex128 and C.blocks is not None
-        v = random_state(basis, 2).amplitudes
-        ref = (m + m.conj().T + H.dense()) @ v
-        out = np.zeros((2, basis.dim))
-        C.matvec(self._planes(v), out)
-        np.testing.assert_allclose(out, self._planes(ref), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(C.matvec(v), ref, rtol=0, atol=1e-12)
+        m = H.dense().astype(np.complex128)
+        for c in (m, m + 1e-3j * np.eye(basis.dim)):
+            with pytest.raises(ValueError, match="real"):
+                SparseOperator(basis, c if form == "dense" else scipy.sparse.csr_matrix(c))
+        plain = SparseOperator(basis, H.dense() if form == "dense" else H.matrix)
+        for op in (plain, H):
+            for factor in (1j, 2.0 - 0.5j, np.complex128(1e-300j)):
+                with pytest.raises(ValueError, match="real factor"):
+                    factor * op
+                with pytest.raises(ValueError, match="real factor"):
+                    op * factor
+            assert np.array_equal((2.0 + 0j) * op.dense(), ((2.0 + 0j) * op).dense())
+
+    @pytest.mark.parametrize("form", ["dense", "sparse"])
+    def test_hermitian_is_measured(self, form):
+        # the flag is the exact comparison M == M.T of every part, not a
+        # caller's word: a matrix 1e-6 from symmetric is not Hermitian
+        basis = build_basis(3, 3)
+        rng = np.random.default_rng(7)
+        m = rng.normal(size=(basis.dim,) * 2)
+        m = m + m.T
+        wrap = np.asarray if form == "dense" else scipy.sparse.csr_matrix
+        assert SparseOperator(basis, wrap(m)).hermitian
+        m[0, 1] += 1e-6
+        op = SparseOperator(basis, wrap(m))
+        assert not op.hermitian and "general" in repr(op)
+        # a sum is measured too: m + m.T is exactly symmetric
+        assert (op + SparseOperator(basis, wrap(m.T))).hermitian
+        _, H = self._case(4, "full")
+        A, B = H.blocks
+        B = B.tolil()
+        B[0, 1] += 1e-6
+        split = SparseOperator(H.basis, H.matrix, (A, wrap(B.toarray())))
+        assert H.hermitian and not split.hermitian
 
 
 class TestHalfChainBlocks:
@@ -635,7 +659,11 @@ class TestHalfChainBlocks:
             1j * H
         with pytest.raises(ValueError, match="half-chain blocks"):
             sector = build_basis(5, 3, sector=2)
-            SparseOperator(sector, np.zeros((sector.dim, sector.dim)), True, H.blocks)
+            SparseOperator(sector, np.zeros((sector.dim, sector.dim)), H.blocks)
+        with pytest.raises(ValueError, match="half-chain blocks"):
+            # a block with more columns than rows would send the kernel past the plane
+            A, B = H.blocks
+            SparseOperator(basis, H.matrix, (scipy.sparse.hstack([A, A]).tocsr(), B))
 
 
 class TestLoneExtension:

@@ -43,11 +43,21 @@ from quenchsim import (
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def random_hermitian_operator(basis, seed, scale=1.0):
+def random_hermitian(basis, seed, scale=1.0):
+    """A dense complex Hermitian matrix over the basis."""
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(basis.dim, basis.dim)) + 1j * rng.normal(size=(basis.dim, basis.dim))
-    H = (A + A.conj().T) * (scale / 2)
-    return SparseOperator(basis, H, hermitian=True)
+    return (A + A.conj().T) * (scale / 2)
+
+
+def planar(H):
+    """``out += H x`` on ``(2, dim)`` planes for a dense complex H, as _Krylov applies it."""
+    def matvec(x, out):
+        y = H @ (x[0] + 1j * x[1])
+        out[0] += y.real
+        out[1] += y.imag
+
+    return matvec
 
 
 def random_state(basis, seed):
@@ -96,12 +106,15 @@ class TestEvolveStatic:
             assert level_population(psi, 1, 1) == pytest.approx(math.sin(J * t) ** 2, abs=1e-10)
 
     def test_matches_dense_oracle_random(self):
+        # a complex Hermitian H is no SparseOperator; the core takes its planar product
+        from quenchsim.propagator import _Krylov, _finish
+
         basis = build_basis(3, 3)
-        H = random_hermitian_operator(basis, seed=11, scale=0.5)
+        H = random_hermitian(basis, seed=11, scale=0.5)
         psi = random_state(basis, 12)
         for t in (0.7, 13.0, 111.0):
-            mine = evolve_static(H, psi, t)
-            ref = dense_propagate(H.dense(), psi.amplitudes, t)
+            mine = _finish(basis, _Krylov(planar(H)).advance(psi.amplitudes, t))
+            ref = dense_propagate(H, psi.amplitudes, t)
             assert np.linalg.norm(mine.amplitudes - ref) < 1e-8
 
     def test_matches_dense_oracle_model(self):
@@ -135,9 +148,28 @@ class TestEvolveStatic:
 
     def test_non_hermitian_rejected(self):
         basis = build_basis(2, 2)
-        op = SparseOperator(basis, np.triu(np.ones((4, 4))), hermitian=False)
+        op = SparseOperator(basis, np.triu(np.ones((4, 4))))
         with pytest.raises(ValueError):
             evolve_static(op, parse_product_state("01", basis), 1.0)
+
+    def test_near_symmetric_matrix_refused_before_any_step(self, monkeypatch):
+        # a 27-state matrix 1e-6 from symmetric, declared Hermitian by its
+        # caller, was once evolved with no error; the flag is now measured
+        def no_matvec(self, *args):
+            raise AssertionError("propagation started")
+
+        basis = build_basis(3, 3)
+        m = (build_hopping(basis, CouplingProfile.from_mhz([10.0, 12.0])) +
+             build_onsite_anharmonicity(basis, AnharmonicityProfile.from_mhz([240.0] * 3))).dense()
+        m[0, 1] += 1e-6
+        op = SparseOperator(basis, m)
+        assert not op.hermitian
+        monkeypatch.setattr(SparseOperator, "matvec", no_matvec)
+        psi = parse_product_state("+10", basis)
+        with pytest.raises(ValueError, match="Hermitian"):
+            evolve_static(op, psi, 1.0)
+        with pytest.raises(ValueError, match="Hermitian"):
+            evolve_driven(op, DriveSpec.staggered_odd(3, 213.6, 120.0), psi, 0.0, 10.0, 1.0)
 
     def test_basis_mismatch_rejected(self):
         H = build_hopping(build_basis(2, 2), CouplingProfile.from_mhz([10.0]))
@@ -149,12 +181,12 @@ class TestEvolveStatic:
         from quenchsim import propagator
 
         basis = build_basis(3, 3)
-        H = random_hermitian_operator(basis, seed=5, scale=50.0)
+        H = random_hermitian(basis, seed=5, scale=50.0)
         psi = random_state(basis, 6)
         monkeypatch.setattr(propagator, "DEFAULT_KRYLOV_DIM", 3)
         monkeypatch.setattr(propagator, "MAX_HALVINGS", 0)
         with pytest.raises(NumericsError):
-            propagator._Krylov(H.matvec).advance(psi.amplitudes, 100.0)
+            propagator._Krylov(planar(H)).advance(psi.amplitudes, 100.0)
 
     @staticmethod
     def _substep_case():
@@ -475,7 +507,7 @@ class TestEvolveDriven:
             evolve_driven(Hs, drive, psi, 0.0, 10.0, math.inf)  # one substep for any span
         with pytest.raises(ValueError):
             evolve_driven(Hs, drive, psi, 10.0, 0.0, 1.0)
-        skew = SparseOperator(basis, np.triu(np.ones((basis.dim, basis.dim))), hermitian=False)
+        skew = SparseOperator(basis, np.triu(np.ones((basis.dim, basis.dim))))
         with pytest.raises(ValueError, match="Hermitian"):
             evolve_driven(skew, drive, psi, 0.0, 10.0, 1.0)
         other = parse_product_state("110", build_basis(3, 2))
@@ -900,20 +932,35 @@ class TestSchedule:
             checked += ref.size
         assert checked > 20_000
 
-    def test_substep_cap_counts_each_sample_interval(self):
+    def test_cap_messages_print_readable_counts(self):
+        # a count formatted with :.0f once printed all 301 digits of 2e300
+        seg = make_segment(2.0, 10.0, 0.0, 2)
+        with pytest.raises(ResourceLimitError, match=r"takes 2e\+300 samples") as err:
+            Protocol((seg,), sample_dt_ns=1e-300).sample_times()
+        assert len(str(err.value)) < 100
+
+    def test_substep_cap_counts_each_sample_interval(self, monkeypatch):
         # a sample step of 1.01 substeps splits 14,000 ns into 887,129
         # intervals, each but the last of 2 substeps: 1,774,257 substeps in
         # all, where 14,000 ns at whole substeps alone would be 896,000
+        from quenchsim import propagator
+
         drive = DriveSpec.staggered_odd(2, 200.0, 1000.0)
         h = default_substep_ns(drive)
         assert h == 1.0 / 64
         seg = make_segment(14_000.0, 10.0, 0.0, 2, drive=drive)
-        pairs = run_protocol(Protocol((seg,), sample_dt_ns=1.01 * h),
-                             parse_product_state("01", build_basis(2, 2)))
+        proto = Protocol((seg,), sample_dt_ns=1.01 * h)
+        pairs = run_protocol(proto, parse_product_state("01", build_basis(2, 2)))
         started = time.perf_counter()
-        with pytest.raises(ResourceLimitError, match="1774257 substeps"):
+        with pytest.raises(ResourceLimitError, match=r"1\.77e\+06 substeps"):
             next(pairs)
         assert time.perf_counter() - started < 1.0
+        # the count is exact: a cap of 1,774,257 admits it, one fewer refuses it
+        monkeypatch.setattr(propagator, "MAX_SUBSTEPS", 1_774_257)
+        propagator._plan(proto, 2)
+        monkeypatch.setattr(propagator, "MAX_SUBSTEPS", 1_774_256)
+        with pytest.raises(ResourceLimitError, match="substeps"):
+            propagator._plan(proto, 2)
 
     def test_substep_count_follows_evolve_driven(self, monkeypatch):
         # the cap admits exactly the substeps that evolve_driven runs

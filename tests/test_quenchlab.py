@@ -1380,6 +1380,32 @@ dt_ns = 1e12
         assert "finite" in err and "amplitudes_q1" in err
         assert not (tmp_path / "o.csv").exists()
 
+    def test_linalg_error_cli_exit_3(self, monkeypatch, capsys):
+        # numpy's LinAlgError is a ValueError, so a failed solve exited 2
+        def failed_solve(*args, **kwargs):
+            raise np.linalg.LinAlgError("the eigensolver did not converge")
+
+        monkeypatch.setattr(experiments, "sector_spectrum", failed_solve)
+        rc = main(["spectrum", "-L", "4", "-N", "2", "-K", "3", "--J", "8", "--U", "240"])
+        assert rc == 3
+        assert "did not converge" in capsys.readouterr().err
+
+    # an all-zero pair loaded and failed only in run_experiment, with a
+    # 0-based site index and no key or line
+    @pytest.mark.parametrize("pair", ["0, 0", "0j, -0.0"])
+    def test_all_zero_amplitude_pair_fails_in_load_config(self, no_basis, tmp_path, capsys,
+                                                         pair):
+        text = MINIMAL.replace("initial = 01", f"amplitudes_q1 = 1, 0\namplitudes_q2 = {pair}")
+        with pytest.raises(ConfigError, match="nonzero amplitude") as err:
+            load_config(text)
+        assert err.value.key == "amplitudes_q2"
+        assert err.value.line == text.splitlines().index(f"amplitudes_q2 = {pair}") + 1
+        cfg_path = tmp_path / "zero.cfg"
+        cfg_path.write_text(text)
+        assert main(["run", "-c", str(cfg_path), "-o", str(tmp_path / "o.csv")]) == 2
+        assert "'amplitudes_q2'" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("mode,key", [("time-reversal", "forward_ns"),
                                           ("one-direction-compare", "duration_ns")])
     def test_unbounded_schedule_fails_fast(self, mode, key):
